@@ -1,10 +1,17 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import expmath
 from expmath.cli import run
+from expmath.precision import PrecisionContext, parse_decimal
 
 CINF_50 = "0.63047350337438679612204019271087890435458707871273"
 
@@ -71,10 +78,18 @@ class TestCn:
         assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == first
 
     def test_csv_header(self, capsys):
-        assert run(["cn", "--n", "1..2", "--digits", "12", "--format", "csv"]) == 0
+        assert run(["cn", "--n", "1..3", "--digits", "20", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n,value,error_estimate"
-        assert len(lines) == 3
+        assert len(lines) == 4
+        first = lines[1].split(",")
+        assert first[0] == "1"
+        # C_1 = 2 must round-trip through the decimal cell
+        assert first[1].startswith("2.0000000000")
+        # every row carries a parseable error column
+        ctx = PrecisionContext.from_digits(30)
+        for line in lines[1:]:
+            parse_decimal(line.split(",")[2], ctx)
 
     def test_rejects_zero_index(self, capsys):
         assert run(["cn", "--n", "0"]) == 2
@@ -321,3 +336,255 @@ class TestDigitCap:
         assert run(["cn", "--n", "3", "--digits", "9", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert _significant_digits(payload["records"][0]["value"]) <= 9
+
+
+# Exact stdout of every subcommand in each format at small sizes.  "CINF"
+# in an argv stands for CINF_50.  The cn CSV error column carries up to six
+# digits (2.09829e-17) where text and JSON carry three (2.10e-17).
+GOLDEN_STDOUT = [
+    ('pi --digits 12 --format text', '3.14159265359\n'),
+    ('pi --digits 12 --format json', '{"digits":12,"value":"3.14159265359"}\n'),
+    ('pi --digits 12 --format csv', 'value,3.14159265359\n'),
+    (
+        'pi --iterations 3 --digits 20 --format text',
+        '3.1415926535897932383\n'
+        'iteration 1: error 0.00101\n'
+        'iteration 2: error 7.38e-9\n'
+        'iteration 3: error 1.83e-19\n'
+    ),
+    (
+        'pi --iterations 3 --digits 20 --format json',
+        '{"digits":20,"iterations":3,"per_iteration_error":["0.00101","7.38e-9"'
+        ',"1.83e-19"],"value":"3.1415926535897932383"}\n'
+    ),
+    (
+        'pi --iterations 3 --digits 20 --format csv',
+        'value,3.1415926535897932383\n'
+        'error_1,0.00101\n'
+        'error_2,7.38e-9\n'
+        'error_3,1.83e-19\n'
+    ),
+    (
+        'cn --n 1..2 --digits 12 --format text',
+        'C_1 = 2.00000000000  (error <= 2.10e-17)\n'
+        'C_2 = 1.00000000000  (error <= 1.81e-19)\n'
+    ),
+    (
+        'cn --n 1..2 --digits 12 --format json',
+        '{"records":[{"error_estimate":"2.10e-17","n":1'
+        ',"value":"2.00000000000"},{"error_estimate":"1.81e-19","n":2'
+        ',"value":"1.00000000000"}]}\n'
+    ),
+    (
+        'cn --n 1..2 --digits 12 --format csv',
+        'n,value,error_estimate\n'
+        '1,2.00000000000,2.09829e-17\n'
+        '2,1.00000000000,1.80915e-19\n'
+    ),
+    (
+        'cn --n 3 --digits 15 --eps 1e-12 --format text',
+        'C_3 = 0.781302412896486  (error <= 2.22e-13)\n'
+    ),
+    (
+        'cn --n 3 --digits 15 --eps 1e-12 --format json',
+        '{"records":[{"error_estimate":"2.22e-13","n":3,"value":"0.781302412896486"}]}\n'
+    ),
+    (
+        'cn --n 3 --digits 15 --eps 1e-12 --format csv',
+        'n,value,error_estimate\n'
+        '3,0.781302412896486,2.22137e-13\n'
+    ),
+    ('cinf --digits 20 --format text', '0.63047350337438679612\n'),
+    ('cinf --digits 20 --format json', '{"digits":20,"value":"0.63047350337438679612"}\n'),
+    ('cinf --digits 20 --format csv', 'value,0.63047350337438679612\n'),
+    (
+        'sinc --N 1 --digits 12 --format text',
+        'N = 1\n'
+        'lhs = 1.57079632679\n'
+        'rhs = 1.57079632679\n'
+        'difference = -4.74e-27\n'
+        'truncation_bound = 1.00e-15\n'
+    ),
+    (
+        'sinc --N 1 --digits 12 --format json',
+        '{"N":1,"difference":"-4.74e-27","lhs":"1.57079632679"'
+        ',"rhs":"1.57079632679","truncation_bound":"1.00e-15"}\n'
+    ),
+    (
+        'sinc --N 1 --digits 12 --format csv',
+        'N,1\n'
+        'lhs,1.57079632679\n'
+        'rhs,1.57079632679\n'
+        'difference,-4.74e-27\n'
+        'truncation_bound,1.00e-15\n'
+    ),
+    ('threshold --threshold 4/3 --format text', '2\n'),
+    ('threshold --threshold 4/3 --format json', '{"n":2,"threshold":"4/3"}\n'),
+    ('threshold --threshold 4/3 --format csv', 'threshold,4/3\nn,2\n'),
+    (
+        'bb --problem sphere --format text',
+        'problem sphere, variant bb2\n'
+        'iterations 2 (converged: True)\n'
+        'minimum 0.0 at [0.0, 0.0]\n'
+    ),
+    (
+        'bb --problem sphere --format json',
+        '{"converged":true,"f":"0.0","iterations":2,"problem":"sphere"'
+        ',"tol":"1e-08","trace":[{"f":"12.5","gamma":"0.2","grad_norm":"5.0"'
+        ',"k":0},{"f":"8.0","gamma":"1.0","grad_norm":"4.0","k":1},{"f":"0.0"'
+        ',"gamma":"1.0","grad_norm":"0.0","k":2}],"variant":"bb2","x":["0.0"'
+        ',"0.0"]}\n'
+    ),
+    (
+        'bb --problem sphere --format csv',
+        'k,f,grad_norm,gamma\n'
+        '0,12.5,5.0,0.2\n'
+        '1,8.0,4.0,1.0\n'
+        '2,0.0,0.0,1.0\n'
+    ),
+    (
+        'bb --problem quad --baseline --format text',
+        'problem quad, variant bb2\n'
+        'iterations 9 (converged: True)\n'
+        'minimum 5.035010601989048e-28 at [3.173329654604373e-14, 3.273936229838978e-19]\n'
+        'steepest-descent baseline: 1169 iterations (converged: True)\n'
+    ),
+    (
+        'bb --problem quad --baseline --format csv',
+        'k,f,grad_norm,gamma\n'
+        '0,5050.0,141.4213562373095,0.007071067811865475\n'
+        '1,4933.82864376269,103.52266911180247,0.010098990100989904\n'
+        '2,4830.475766314323,98.29056289633347,0.011136459757613442\n'
+        '3,4723.485641935986,97.19553672219777,0.9207529860969731\n'
+        '4,29.708939071861053,8.266401784651125,0.9988635402423865\n'
+        '5,440.30566277650394,296.750947714569,0.010651772583719523\n'
+        '6,1.8704888198714613,19.3414151217604,0.010000000000086143\n'
+        '7,3.675405705060037e-05,0.008573687310673324,0.010000000019848316\n'
+        '8,3.6022651313849e-05,0.008487950437396415,0.9999999999962613\n'
+        '9,5.035010601989048e-28,3.1733313434701313e-14,1.0\n'
+    ),
+    ('agm --digits 15 --format text', '0.728395515523453\n'),
+    (
+        'agm --digits 15 --format json',
+        '{"iterations":5,"kind":2,"value":"0.728395515523453"}\n'
+    ),
+    ('agm --digits 15 --format csv', 'value,0.728395515523453\niterations,5\n'),
+    (
+        'agm --kind 3 --b 0.2 --digits 12 --trajectory --format text',
+        '0.445969209758\n'
+        'iteration 0: a=1.00000000000 b=0.200000000000\n'
+        'iteration 1: a=0.466666666667 b=0.435622338473\n'
+        'iteration 2: a=0.445970447871 b=0.445968590702\n'
+        'iteration 3: a=0.445969209758 b=0.445969209758\n'
+        'iteration 4: a=0.445969209758 b=0.445969209758\n'
+    ),
+    (
+        'agm --kind 3 --b 0.2 --digits 12 --trajectory --format json',
+        '{"iterations":4,"kind":3,"trajectory":[{"a":"1.00000000000"'
+        ',"b":"0.200000000000","iteration":0},{"a":"0.466666666667"'
+        ',"b":"0.435622338473","iteration":1},{"a":"0.445970447871"'
+        ',"b":"0.445968590702","iteration":2},{"a":"0.445969209758"'
+        ',"b":"0.445969209758","iteration":3},{"a":"0.445969209758"'
+        ',"b":"0.445969209758","iteration":4}],"value":"0.445969209758"}\n'
+    ),
+    (
+        'agm --kind 3 --b 0.2 --digits 12 --trajectory --format csv',
+        'value,0.445969209758\n'
+        'iterations,4\n'
+    ),
+    (
+        'recognize --value CINF --digits 40 --format text',
+        '2*exp(-2*gamma)  (coefficients [1, 0, 0, -2, 0, 0], 40 digits)\n'
+    ),
+    (
+        'recognize --value CINF --digits 40 --format json',
+        '{"basis":["one","gamma","em2gamma","zeta3","pi2"]'
+        ',"matches":[{"coefficients":[1,0,0,-2,0,0],"confidence_digits":40'
+        ',"rendering":"2*exp(-2*gamma)","residual":"2.34e-51"}]'
+        ',"value":"0.63047350337438679612204019271087890435458707871273"}\n'
+    ),
+    ('recognize --value CINF --digits 40 --format csv', 'rendering,2*exp(-2*gamma)\n'),
+    ('recognize --value 0.5 --basis pi --digits 20 --format text', 'no match\n'),
+    (
+        'recognize --value 0.5 --basis pi --digits 20 --format json',
+        '{"basis":["pi"],"matches":[],"value":"0.5"}\n'
+    ),
+    ('recognize --value 0.5 --basis pi --digits 20 --format csv', 'no-match,\n'),
+    ('recognize --list-basis --format text', 'e\nem2gamma\ngamma\none\npi\npi2\nzeta3\n'),
+    (
+        'recognize --list-basis --format json',
+        '{"basis":["e","em2gamma","gamma","one","pi","pi2","zeta3"]}\n'
+    ),
+    ('recognize --list-basis --format csv', 'e\nem2gamma\ngamma\none\npi\npi2\nzeta3\n'),
+    (
+        'quad --integrand inv-sqrt --digits 12 --format text',
+        'integrand = inv-sqrt\n'
+        'value = 2.00000000000\n'
+        'error_estimate = 3.04e-15\n'
+        'levels_used = 3\n'
+        'converged = True\n'
+        'reference = 2\n'
+    ),
+    (
+        'quad --integrand inv-sqrt --digits 12 --format json',
+        '{"converged":true,"error_estimate":"3.04e-15","integrand":"inv-sqrt"'
+        ',"levels_used":3,"reference":"2","value":"2.00000000000"}\n'
+    ),
+    (
+        'quad --integrand inv-sqrt --digits 12 --format csv',
+        'integrand,inv-sqrt\n'
+        'value,2.00000000000\n'
+        'error_estimate,3.04e-15\n'
+        'levels_used,3\n'
+        'converged,True\n'
+        'reference,2\n'
+    ),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "argv, expected", GOLDEN_STDOUT, ids=[argv for argv, _ in GOLDEN_STDOUT]
+    )
+    def test_stdout_bytes(self, argv, expected, capsysbinary):
+        argv = [CINF_50 if a == "CINF" else a for a in argv.split()]
+        assert run(argv) == 0
+        assert capsysbinary.readouterr().out == expected.encode()
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            ("walk --digits 40 --size 16",
+             "a83f1d657bb880c3d5ead4dbcd68c272613fd316717c72351d9a0bae37367415"),
+            ("walk --digits 40 --size 16 --image-format ppm",
+             "e77af3dcd9f82a747bfb710b6fc6b20737166a028716eb1ff95757e7762175ad"),
+        ],
+    )
+    def test_walk_image_bytes(self, argv, sha256, capsysbinary):
+        assert run(argv.split()) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == sha256
+
+
+class TestRealProcess:
+    """`python -m expmath` writes to the real stdout exactly what run() writes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cinf", "--digits", "20"],
+            ["walk", "--digits", "40", "--size", "16", "--image-format", "ppm"],
+        ],
+        ids=["text", "binary"],
+    )
+    def test_stdout_matches_run(self, argv, capsysbinary):
+        assert run(argv) == 0
+        expected = capsysbinary.readouterr().out
+        src = str(Path(expmath.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "expmath", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == expected
