@@ -45,12 +45,10 @@ class ObjectiveFunction:
 
 @dataclass
 class BBState:
-    """Exactly the memory the method needs: two points, two gradients."""
+    """What one step hands the next: point, gradient, step count and step length."""
 
     x_k: np.ndarray
-    x_km1: np.ndarray | None
     g_k: np.ndarray
-    g_km1: np.ndarray | None
     k: int
     gamma_k: float
 
@@ -140,7 +138,7 @@ def bb_minimize(
     fx = float(f.evaluate(x))
     _check_finite("objective", fx)
 
-    state = BBState(x_k=x, x_km1=None, g_k=g, g_km1=None, k=0, gamma_k=_initial_gamma(g))
+    state = BBState(x_k=x, g_k=g, k=0, gamma_k=_initial_gamma(g))
     recent = deque([fx], maxlen=max(1, safeguard.memory))
     trace = [(0, fx, float(np.linalg.norm(g)), state.gamma_k)]
     gammas = []
@@ -202,9 +200,7 @@ def bb_minimize(
 
         state = BBState(
             x_k=x_new,
-            x_km1=state.x_k,
             g_k=g_new,
-            g_km1=state.g_k,
             k=state.k + 1,
             gamma_k=gamma_next,
         )

@@ -18,8 +18,6 @@ skip far-tail nodes without evaluating them.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -185,20 +183,3 @@ def c2_double_integral(ctx: PrecisionContext, eps=None) -> BigReal:
         v = +(2 * result.value.value)
     return make_real(v, ctx)
 
-
-def records_to_csv(records, digits: int) -> str:
-    """CSV export: header n,value,error_estimate with decimal-string cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "value", "error_estimate"])
-    for rec in records:
-        err = rec.error_estimate.value
-        err_digits = max(3, min(digits, 6))
-        writer.writerow(
-            [
-                rec.n,
-                rec.value.to_decimal(digits),
-                "0" if err == 0 else rec.error_estimate.to_decimal(err_digits),
-            ]
-        )
-    return buf.getvalue()

@@ -1,9 +1,15 @@
 """Command-line frontend: every capability as a subcommand.
 
-All numeric output is rendered as decimal strings (never raw binary
-floats); JSON is emitted in canonical form (sorted keys, tight separators)
-so byte-identical round-trips hold.  Exit codes: 0 success, 1 computation
-failure, 2 usage error.
+Output contract: each subcommand computes its result once and returns it as
+``(payload, rows, lines)``: the JSON object, the CSV rows (header row
+included when there is one) and the text lines.  ``walk`` returns image
+bytes instead.  One renderer, ``_render``, turns the three views into the
+bytes of the chosen ``--format``: canonical JSON (sorted keys, tight
+separators), comma-joined CSV rows, or newline-joined text.  ``run`` writes
+those bytes once, to ``--out`` or to standard output.  All numeric output is
+rendered as decimal strings (never raw binary floats), so byte-identical
+round-trips hold.  Exit codes: 0 success, 1 computation failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -12,27 +18,15 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
 
-from . import (
-    agm,
-    barzilai_borwein,
-    bessel_moments,
-    digit_walks,
-    functions,
-    quadrature,
-    relations,
-    sinc_identity,
-)
-from .precision import (
-    BigReal,
-    NumericsError,
-    PrecisionContext,
-    parse_decimal,
-)
+from . import agm, barzilai_borwein, bessel_moments, digit_walks, functions
+from . import quadrature, relations, sinc_identity
+from .precision import BigReal, NumericsError, PrecisionContext, parse_decimal
 
 _DEFAULT_DIGITS = 30
 
@@ -99,6 +93,18 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers") from None
 
 
+def _eps_spec(text: str):
+    """Parse --eps as a positive, finite decimal at 64-bit precision."""
+    with mp.workprec(64):
+        try:
+            value = mpf(text)
+        except ValueError:
+            value = None
+    if value is None or not (mpmath.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("--eps takes a positive decimal, e.g. 1e-25")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expmath",
@@ -107,23 +113,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     digits_default = _env_default_digits()
 
-    def common(p, digits=digits_default, fmt="text"):
+    def command(name, handler, summary, digits=digits_default, fmt="text",
+                digits_help="significant digits to print"):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument(
             "--digits",
             type=_positive_int("--digits"),
             default=digits,
-            help=f"significant digits to print (default {digits})",
+            help=f"{digits_help} (default {digits})",
         )
-        p.add_argument(
-            "--format",
-            choices=("text", "json", "csv"),
-            default=fmt,
-            help=f"output format (default {fmt})",
-        )
+        if fmt is not None:
+            p.add_argument(
+                "--format",
+                choices=("text", "json", "csv"),
+                default=fmt,
+                help=f"output format (default {fmt})",
+            )
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+        return p
 
-    p = sub.add_parser("pi", help="pi via the quadratically convergent mean iteration")
-    common(p)
+    p = command("pi", _cmd_pi, "pi via the quadratically convergent mean iteration")
     p.add_argument(
         "--iterations",
         type=_positive_int("--iterations"),
@@ -131,34 +141,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed iteration count; reports per-iteration errors",
     )
 
-    p = sub.add_parser("cn", help="Bessel-moment integrals C_n")
-    common(p)
+    p = command("cn", _cmd_cn, "Bessel-moment integrals C_n")
     p.add_argument("--n", type=_n_spec, default=[4], help="index or range, e.g. 4 or 1..10")
-    p.add_argument("--eps", default=None, help="target accuracy, e.g. 1e-25")
+    p.add_argument("--eps", type=_eps_spec, default=None, help="target accuracy, e.g. 1e-25")
 
-    p = sub.add_parser("cinf", help="the limit value 2*exp(-2*gamma)")
-    common(p, digits=50)
+    command("cinf", _cmd_cinf, "the limit value 2*exp(-2*gamma)", digits=50)
 
-    p = sub.add_parser("sinc", help="both sides of the sinc-product identity")
-    common(p)
+    p = command("sinc", _cmd_sinc, "both sides of the sinc-product identity")
     p.add_argument("--N", type=_positive_int("--N"), default=1, help="number of odd reciprocals past 1")
-    p.add_argument("--eps", default=None, help="target accuracy for each side")
+    p.add_argument("--eps", type=_eps_spec, default=None, help="target accuracy for each side")
 
-    p = sub.add_parser("threshold", help="first N where the sinc identity fails")
-    common(p)
-    p.add_argument(
-        "--threshold",
-        default=None,
-        help="frequency budget; decimal or p/q (default: 2*pi)",
-    )
+    p = command("threshold", _cmd_threshold, "first N where the sinc identity fails")
+    p.add_argument("--threshold", default=None,
+                   help="frequency budget; decimal or p/q (default: 2*pi)")
 
-    p = sub.add_parser("bb", help="two-point gradient descent vs steepest descent")
-    common(p)
-    p.add_argument(
-        "--problem",
-        choices=("sphere", "quad", "rosenbrock", "random-spd"),
-        default="quad",
-    )
+    p = command("bb", _cmd_bb, "two-point gradient descent vs steepest descent")
+    p.add_argument("--problem", choices=("sphere", "quad", "rosenbrock", "random-spd"),
+                   default="quad")
     p.add_argument("--variant", choices=("bb1", "bb2"), default="bb2")
     p.add_argument("--tol", type=float, default=1e-8, help="gradient-norm tolerance")
     p.add_argument("--x0", type=_float_list, default=None, help="start point, e.g. 100,1")
@@ -171,15 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run steepest descent and report both iteration counts",
     )
 
-    p = sub.add_parser("agm", help="arithmetic-geometric mean iterations")
-    common(p)
+    p = command("agm", _cmd_agm, "arithmetic-geometric mean iterations")
     p.add_argument("--a", default="1", help="first starting value")
     p.add_argument("--b", default="0.5", help="second starting value")
     p.add_argument("--kind", choices=("2", "3"), default="2", help="quadratic or cubic mean")
     p.add_argument("--trajectory", action="store_true", help="print every iterate")
 
-    p = sub.add_parser("recognize", help="identify a decimal as a combination of constants")
-    common(p, digits=50, fmt="json")
+    p = command("recognize", _cmd_recognize, "identify a decimal as a combination of constants",
+                digits=50, fmt="json")
     p.add_argument("--value", default=None, help="decimal string to identify")
     p.add_argument(
         "--basis",
@@ -188,54 +186,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--list-basis", action="store_true", help="print available constants and exit")
 
-    p = sub.add_parser("quad", help="the double-exponential integrator on reference integrals")
-    common(p)
-    p.add_argument(
-        "--integrand",
-        choices=("log-inverse", "inv-sqrt", "gauss", "bessel-moment"),
-        default="log-inverse",
-    )
+    p = command("quad", _cmd_quad, "the double-exponential integrator on reference integrals")
+    p.add_argument("--integrand", choices=("log-inverse", "inv-sqrt", "gauss", "bessel-moment"),
+                   default="log-inverse")
 
-    p = sub.add_parser("walk", help="digit walk of a constant, rendered to PPM or SVG")
-    common(p)
+    # walk writes image bytes, chosen by --image-format, so it takes no --format
+    p = command("walk", _cmd_walk, "digit walk of a constant, rendered to PPM or SVG",
+                fmt=None, digits_help="digits of the constant to walk")
     p.add_argument("--constant", default="pi")
     p.add_argument("--base", type=_positive_int("--base", 2), default=4)
     p.add_argument("--size", type=_size_spec, default=512)
     p.add_argument("--color", choices=("progress", "mono"), default="progress")
-    p.add_argument(
-        "--image-format",
-        choices=("ppm", "svg"),
-        default=None,
-        help="defaults to the --out extension, else svg",
-    )
+    p.add_argument("--image-format", choices=("ppm", "svg"), default=None,
+                   help="defaults to the --out extension, else svg")
     return parser
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# output
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _kv_csv(rows) -> str:
-    return "".join(f"{k},{v}\n" for k, v in rows)
-
-
-def _emit(args, text=None, data=None) -> None:
-    if data is not None:
-        if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
-        else:
-            sys.stdout.buffer.write(data)
-        return
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _render(fmt: str, payload, rows, lines) -> bytes:
+    """The one place --format is decided: a result's three views to bytes."""
+    if fmt == "json":
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    elif fmt == "csv":
+        # cells are decimal strings, integers and bare names: none holds a
+        # comma or a quote, so no cell needs quoting
+        text = "".join(",".join(str(c) for c in row) + "\n" for row in rows)
     else:
-        sys.stdout.write(text)
+        text = "".join(f"{line}\n" for line in lines)
+    return text.encode("utf-8")
+
+
+def _fields(fields, lines=None):
+    """All three views of one ordered list of (key, value) pairs.
+
+    JSON is the object of the pairs, CSV one ``key,value`` row per pair, and
+    text ``key = value`` per pair unless ``lines`` says otherwise.
+    """
+    if lines is None:
+        lines = [f"{k} = {v}" for k, v in fields]
+    return dict(fields), fields, lines
 
 
 def _ctx(digits: int) -> PrecisionContext:
@@ -244,11 +236,7 @@ def _ctx(digits: int) -> PrecisionContext:
 
 def _eps_from(args):
     if args.eps is not None:
-        with mp.workprec(64):
-            v = mpf(args.eps)
-        if not v > 0:
-            raise NumericsError("--eps must be positive")
-        return v
+        return args.eps
     # default accuracy backs every printed digit with a little to spare
     with mp.workprec(64):
         return mpf(10) ** (-(args.digits + 3))
@@ -258,92 +246,63 @@ def _eps_from(args):
 # subcommand bodies
 
 
-def _cmd_pi(args) -> str:
+def _cmd_pi(args):
     d = args.digits
     if args.iterations is None:
         value = agm.pi_value(_ctx(d)).to_decimal(d)
-        if args.format == "json":
-            return _canonical_json({"digits": d, "value": value})
-        if args.format == "csv":
-            return _kv_csv([("value", value)])
-        return value + "\n"
+        return {"digits": d, "value": value}, [("value", value)], [value]
     bits = max(PrecisionContext.from_digits(d + 5).bits, 200)
     ctx = PrecisionContext(bits, d)
     result = agm.gauss_legendre_pi(args.iterations, ctx)
     errors = [e.to_decimal(3) for e in result.per_iteration_error]
     value = result.value.to_decimal(d)
-    if args.format == "json":
-        return _canonical_json(
-            {
-                "digits": d,
-                "iterations": result.iterations,
-                "per_iteration_error": errors,
-                "value": value,
-            }
-        )
-    if args.format == "csv":
-        rows = [("value", value)] + [
-            (f"error_{k+1}", e) for k, e in enumerate(errors)
-        ]
-        return _kv_csv(rows)
-    lines = [value]
-    lines += [f"iteration {k + 1}: error {e}" for k, e in enumerate(errors)]
-    return "\n".join(lines) + "\n"
+    payload = {
+        "digits": d,
+        "iterations": result.iterations,
+        "per_iteration_error": errors,
+        "value": value,
+    }
+    rows = [("value", value)] + [(f"error_{k + 1}", e) for k, e in enumerate(errors)]
+    lines = [value] + [f"iteration {k + 1}: error {e}" for k, e in enumerate(errors)]
+    return payload, rows, lines
 
 
-def _cmd_cn(args) -> str:
+def _cmd_cn(args):
     d = args.digits
     ctx = PrecisionContext.from_digits(max(d + 5, 30))
     eps = _eps_from(args)
     records = [bessel_moments.c_n(n, ctx, eps) for n in sorted(set(args.n))]
-    if args.format == "csv":
-        return bessel_moments.records_to_csv(records, d)
-    if args.format == "json":
-        return _canonical_json(
-            {
-                "records": [
-                    {
-                        "n": r.n,
-                        "value": r.value.to_decimal(d),
-                        "error_estimate": r.error_estimate.to_decimal(3),
-                    }
-                    for r in records
-                ]
-            }
-        )
-    return "".join(
-        f"C_{r.n} = {r.value.to_decimal(d)}  (error <= {r.error_estimate.to_decimal(3)})\n"
-        for r in records
-    )
+    payload, rows, lines = {"records": []}, [("n", "value", "error_estimate")], []
+    for r in records:
+        value, err = r.value.to_decimal(d), r.error_estimate.to_decimal(3)
+        payload["records"].append({"n": r.n, "value": value, "error_estimate": err})
+        lines.append(f"C_{r.n} = {value}  (error <= {err})")
+        # the CSV error column keeps up to six digits where text and JSON keep three
+        e = r.error_estimate
+        rows.append((r.n, value, "0" if e.value == 0 else e.to_decimal(max(3, min(d, 6)))))
+    return payload, rows, lines
 
 
-def _cmd_cinf(args) -> str:
+def _cmd_cinf(args):
     d = args.digits
     value = bessel_moments.c_infinity(_ctx(d)).to_decimal(d)
-    if args.format == "json":
-        return _canonical_json({"digits": d, "value": value})
-    if args.format == "csv":
-        return _kv_csv([("value", value)])
-    return value + "\n"
+    return {"digits": d, "value": value}, [("value", value)], [value]
 
 
-def _cmd_sinc(args) -> str:
+def _cmd_sinc(args):
     d = args.digits
     ctx = PrecisionContext.from_digits(max(d + 5, 30))
     eps = _eps_from(args)
     report = sinc_identity.identity_report(args.N, eps, ctx)
-    fields = [
-        ("N", report.N),
-        ("lhs", report.lhs.to_decimal(d)),
-        ("rhs", report.rhs.to_decimal(d)),
-        ("difference", report.difference.to_decimal(3)),
-        ("truncation_bound", report.truncation_bound.to_decimal(3)),
-    ]
-    if args.format == "json":
-        return _canonical_json({k: v for k, v in fields})
-    if args.format == "csv":
-        return _kv_csv(fields)
-    return "".join(f"{k} = {v}\n" for k, v in fields)
+    return _fields(
+        [
+            ("N", report.N),
+            ("lhs", report.lhs.to_decimal(d)),
+            ("rhs", report.rhs.to_decimal(d)),
+            ("difference", report.difference.to_decimal(3)),
+            ("truncation_bound", report.truncation_bound.to_decimal(3)),
+        ]
+    )
 
 
 def _parse_threshold(text: str, ctx: PrecisionContext):
@@ -353,7 +312,7 @@ def _parse_threshold(text: str, ctx: PrecisionContext):
     return parse_decimal(text, ctx)
 
 
-def _cmd_threshold(args) -> str:
+def _cmd_threshold(args):
     ctx = PrecisionContext.from_digits(max(args.digits, 30))
     if args.threshold is None:
         with mp.workprec(ctx.bits + 48):
@@ -363,11 +322,7 @@ def _cmd_threshold(args) -> str:
         threshold = _parse_threshold(args.threshold, ctx)
         label = args.threshold
     n = sinc_identity.threshold_scan(threshold, ctx)
-    if args.format == "json":
-        return _canonical_json({"threshold": label, "n": n})
-    if args.format == "csv":
-        return _kv_csv([("threshold", label), ("n", n)])
-    return f"{n}\n"
+    return _fields([("threshold", label), ("n", n)], lines=[n])
 
 
 def _bb_problem(args):
@@ -387,7 +342,7 @@ _BB_DEFAULT_STARTS = {
 }
 
 
-def _cmd_bb(args) -> str:
+def _cmd_bb(args):
     problem = _bb_problem(args)
     x0 = args.x0
     if x0 is None:
@@ -400,6 +355,7 @@ def _cmd_bb(args) -> str:
     result = barzilai_borwein.bb_minimize(
         problem, x0, args.tol, max_iter=args.max_iter, variant=args.variant, safeguard=safeguard
     )
+    trace = [(k, repr(fv), repr(gn), repr(gm)) for k, fv, gn, gm in result.trace]
     payload = {
         "problem": args.problem,
         "variant": args.variant,
@@ -408,38 +364,27 @@ def _cmd_bb(args) -> str:
         "converged": result.converged,
         "x": [repr(v) for v in result.x.tolist()],
         "f": repr(result.fx),
-        "trace": [
-            {"k": k, "f": repr(fv), "grad_norm": repr(gn), "gamma": repr(gm)}
-            for k, fv, gn, gm in result.trace
-        ],
+        "trace": [{"k": k, "f": f, "grad_norm": gn, "gamma": gm} for k, f, gn, gm in trace],
     }
-    if args.baseline:
-        base = barzilai_borwein.steepest_descent_baseline(
-            problem, x0, args.tol, max_iter=max(args.max_iter, 100_000)
-        )
-        payload["baseline_iterations"] = base.iterations
-        payload["baseline_converged"] = base.converged
-    if args.format == "json":
-        return _canonical_json(payload)
-    if args.format == "csv":
-        rows = [("k", "f", "grad_norm", "gamma")] + [
-            (k, repr(fv), repr(gn), repr(gm)) for k, fv, gn, gm in result.trace
-        ]
-        return "".join(",".join(str(c) for c in row) + "\n" for row in rows)
     lines = [
         f"problem {args.problem}, variant {args.variant}",
         f"iterations {result.iterations} (converged: {result.converged})",
         f"minimum {result.fx!r} at {result.x.tolist()!r}",
     ]
     if args.baseline:
-        lines.append(
-            f"steepest-descent baseline: {payload['baseline_iterations']} iterations"
-            f" (converged: {payload['baseline_converged']})"
+        base = barzilai_borwein.steepest_descent_baseline(
+            problem, x0, args.tol, max_iter=max(args.max_iter, 100_000)
         )
-    return "\n".join(lines) + "\n"
+        payload["baseline_iterations"] = base.iterations
+        payload["baseline_converged"] = base.converged
+        lines.append(
+            f"steepest-descent baseline: {base.iterations} iterations"
+            f" (converged: {base.converged})"
+        )
+    return payload, [("k", "f", "grad_norm", "gamma")] + trace, lines
 
 
-def _cmd_agm(args) -> str:
+def _cmd_agm(args):
     d = args.digits
     ctx = PrecisionContext.from_digits(d + 5)
     a = parse_decimal(args.a, ctx)
@@ -448,34 +393,23 @@ def _cmd_agm(args) -> str:
     states = agm.agm_states(a, b, ctx, cubic=cubic)
     mean = agm.agm3(a, b, ctx) if cubic else agm.agm2(a, b, ctx)
     value = mean.to_decimal(d)
-    if args.format == "json":
-        payload = {"kind": int(args.kind), "value": value, "iterations": states[-1].iteration}
-        if args.trajectory:
-            payload["trajectory"] = [
-                {"iteration": s.iteration, "a": str(BigReal(s.a, ctx.bits).to_decimal(d)),
-                 "b": str(BigReal(s.b, ctx.bits).to_decimal(d))}
-                for s in states
-            ]
-        return _canonical_json(payload)
-    if args.format == "csv":
-        rows = [("value", value), ("iterations", states[-1].iteration)]
-        return _kv_csv(rows)
+    iterations = states[-1].iteration
+    payload = {"kind": int(args.kind), "value": value, "iterations": iterations}
     lines = [value]
     if args.trajectory:
-        for s in states:
-            lines.append(
-                f"iteration {s.iteration}: a={BigReal(s.a, ctx.bits).to_decimal(d)} "
-                f"b={BigReal(s.b, ctx.bits).to_decimal(d)}"
-            )
-    return "\n".join(lines) + "\n"
+        def show(x):
+            return BigReal(x, ctx.bits).to_decimal(d)
+
+        steps = [(s.iteration, show(s.a), show(s.b)) for s in states]
+        payload["trajectory"] = [{"iteration": k, "a": sa, "b": sb} for k, sa, sb in steps]
+        lines += [f"iteration {k}: a={sa} b={sb}" for k, sa, sb in steps]
+    return payload, [("value", value), ("iterations", iterations)], lines
 
 
-def _cmd_recognize(args) -> str:
+def _cmd_recognize(args):
     if args.list_basis:
         names = relations.basis_names()
-        if args.format == "json":
-            return _canonical_json({"basis": names})
-        return "".join(f"{n}\n" for n in names)
+        return {"basis": names}, [(n,) for n in names], names
     if args.value is None:
         raise _UsageError("recognize needs --value (or --list-basis)")
     d = args.digits
@@ -497,20 +431,15 @@ def _cmd_recognize(args) -> str:
             for m in matches
         ],
     }
-    if args.format == "json":
-        return _canonical_json(payload)
-    if args.format == "csv":
-        rows = [("rendering", m.rendering) for m in matches]
-        return _kv_csv(rows) if rows else "no-match,\n"
-    if not matches:
-        return "no match\n"
-    return "".join(
-        f"{m.rendering}  (coefficients {list(m.coefficients)}, {m.confidence_digits} digits)\n"
+    rows = [("rendering", m.rendering) for m in matches] or [("no-match", "")]
+    lines = [
+        f"{m.rendering}  (coefficients {list(m.coefficients)}, {m.confidence_digits} digits)"
         for m in matches
-    )
+    ] or ["no match"]
+    return payload, rows, lines
 
 
-def _cmd_quad(args) -> str:
+def _cmd_quad(args):
     d = args.digits
     ctx = PrecisionContext.from_digits(max(d + 5, 30))
     with mp.workprec(ctx.bits + 16):
@@ -529,36 +458,26 @@ def _cmd_quad(args) -> str:
             lambda t: t * functions.bessel_k0(t, ctx).value if t > 0 else mpf(0), 0, eps, ctx
         )
         reference = "1"
-    fields = [
-        ("integrand", args.integrand),
-        ("value", result.value.to_decimal(d)),
-        ("error_estimate", result.error_estimate.to_decimal(3)),
-        ("levels_used", result.levels_used),
-        ("converged", result.converged),
-        ("reference", reference),
-    ]
-    if args.format == "json":
-        return _canonical_json({k: v for k, v in fields})
-    if args.format == "csv":
-        return _kv_csv(fields)
-    return "".join(f"{k} = {v}\n" for k, v in fields)
+    return _fields(
+        [
+            ("integrand", args.integrand),
+            ("value", result.value.to_decimal(d)),
+            ("error_estimate", result.error_estimate.to_decimal(3)),
+            ("levels_used", result.levels_used),
+            ("converged", result.converged),
+            ("reference", reference),
+        ]
+    )
 
 
-def _cmd_walk(args):
-    fmt = args.image_format
-    if fmt is None:
-        if args.out and args.out.lower().endswith(".ppm"):
-            fmt = "ppm"
-        else:
-            fmt = "svg"
+def _cmd_walk(args) -> bytes:
+    fmt = args.image_format or ("ppm" if (args.out or "").lower().endswith(".ppm") else "svg")
     count = args.digits
-    bits = int(count * (args.base.bit_length())) + 256
-    need = int(count * max(1.0, (args.base - 1).bit_length())) + 128
-    ctx = PrecisionContext(max(need, bits, 512), 100)
+    bits = count * args.base.bit_length() + 256
+    ctx = PrecisionContext(max(bits, 512), 100)
     stream = digit_walks.digits(args.constant, args.base, count, ctx)
     path = digit_walks.walk(stream)
-    data = digit_walks.render(path, fmt, args.size, args.color)
-    return data
+    return digit_walks.render(path, fmt, args.size, args.color)
 
 
 def run(argv) -> int:
@@ -568,24 +487,11 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    handlers = {
-        "pi": _cmd_pi,
-        "cn": _cmd_cn,
-        "cinf": _cmd_cinf,
-        "sinc": _cmd_sinc,
-        "threshold": _cmd_threshold,
-        "bb": _cmd_bb,
-        "agm": _cmd_agm,
-        "recognize": _cmd_recognize,
-        "quad": _cmd_quad,
-    }
     try:
-        if args.subcommand == "walk":
-            data = _cmd_walk(args)
-            _emit(args, data=data)
-        else:
-            text = handlers[args.subcommand](args)
-            _emit(args, text=text)
+        result = args.handler(args)
+        data = result if isinstance(result, bytes) else _render(args.format, *result)
+        with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
+            fh.write(data)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -222,14 +222,6 @@ def _log_k0_raw(t: mpf, prec: int) -> mpf:
     return v
 
 
-def log_bessel_k0(t, ctx: PrecisionContext) -> BigReal:
-    """ln K0(t), stable for arbitrarily large t (no underflow)."""
-    tv = as_mpf(t, ctx)
-    if not tv > 0:
-        raise DomainError("K0 requires t > 0")
-    return make_real(_log_k0_raw(tv, ctx.bits + 16), ctx)
-
-
 def bessel_k0_integral(t, ctx: PrecisionContext) -> BigReal:
     """Arbiter route: K0(t) = int_0^inf exp(-t cosh u) du by quadrature.
 

@@ -50,10 +50,6 @@ class BasisConstant:
         return self.make(ctx)
 
 
-def basis_constant(name: str, render: str, make, ctx: PrecisionContext) -> BasisConstant:
-    return BasisConstant(name=name, render=render, make=make, value=make(ctx))
-
-
 @dataclass(frozen=True)
 class RecognitionMatch:
     coefficients: tuple

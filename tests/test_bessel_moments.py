@@ -153,19 +153,3 @@ class TestRecordValidation:
             n=1, value=parse_decimal("2", ctx), error_estimate=tiny
         )
 
-
-class TestCsvExport:
-    def test_shape_and_content(self):
-        ctx = PrecisionContext.from_digits(30)
-        records = bessel_moments.monotonicity_scan(3, ctx)
-        text = bessel_moments.records_to_csv(records, 20)
-        lines = text.splitlines()
-        assert lines[0] == "n,value,error_estimate"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        # C_1 = 2 must round-trip through the decimal cell
-        assert first[1].startswith("2.0000000000")
-        # every row carries a parseable error column
-        for line in lines[1:]:
-            parse_decimal(line.split(",")[2], ctx)

@@ -262,6 +262,15 @@ class TestUsageErrors:
     def test_invalid_size_spec(self, capsys):
         assert run(["walk", "--size", "tiny"]) == 2
 
+    @pytest.mark.parametrize("subcommand", ["cn", "sinc"])
+    @pytest.mark.parametrize("eps", ["abc", "0", "nan"])
+    def test_malformed_eps(self, subcommand, eps, capsys):
+        assert run([subcommand, "--eps", eps]) == 2
+        assert "--eps" in capsys.readouterr().err
+
+    def test_walk_takes_no_format(self, capsys):
+        assert run(["walk", "--digits", "10", "--format", "json"]) == 2
+
 
 class TestSinc:
     def test_json_report_fields(self, capsys):

@@ -237,7 +237,7 @@ class TestRecognize:
             return make
 
         scaled_basis = [
-            relations.basis_constant(b.name, b.render, times_three(b), ctx)
+            relations.BasisConstant(b.name, b.render, times_three(b), times_three(b)(ctx))
             for b in plain
         ]
         direct = relations.recognize(c4.value, plain, 45)
