@@ -153,3 +153,27 @@ class TestRecordValidation:
             n=1, value=parse_decimal("2", ctx), error_estimate=tiny
         )
 
+
+
+class TestCsvExport:
+    def test_shape_and_content(self, capsys):
+        # the CSV export of moment records is the `cn --format csv` output;
+        # its rows must carry the same values the library computes
+        from expmath.cli import run
+
+        ctx = PrecisionContext.from_digits(30)
+        records = bessel_moments.monotonicity_scan(3, ctx)
+        assert run(["cn", "--n", "1..3", "--digits", "20", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n,value,error_estimate"
+        assert len(lines) == 4
+        first = lines[1].split(",")
+        assert first[0] == "1"
+        # C_1 = 2 must round-trip through the decimal cell
+        assert first[1].startswith("2.0000000000")
+        for rec, line in zip(records, lines[1:]):
+            n, value, err = line.split(",")
+            assert int(n) == rec.n
+            assert value == rec.value.to_decimal(20)
+            # every row carries a parseable error column
+            parse_decimal(err, ctx)
