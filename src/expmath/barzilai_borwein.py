@@ -125,7 +125,7 @@ def bb_minimize(
     variant = variant.lower()
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise DomainError("tol must be positive")
     if safeguard is None:
         safeguard = SafeguardConfig(enabled=False)
@@ -215,7 +215,7 @@ def steepest_descent_baseline(
     max_iter: int = 100_000,
 ) -> MinimizeResult:
     """Steepest descent: exact line search on quadratics, backtracking otherwise."""
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise DomainError("tol must be positive")
     x = np.array(x0, dtype=float)
     if x.shape != (f.dimension,):

@@ -93,16 +93,46 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers") from None
 
 
-def _eps_spec(text: str):
-    """Parse --eps as a positive, finite decimal at 64-bit precision."""
+def _finite_decimal(text: str):
+    """`text` as a 64-bit mpf, or None when it is not a finite decimal."""
     with mp.workprec(64):
         try:
-            value = mpf(text)
+            value = mpf(text.strip())
         except ValueError:
-            value = None
-    if value is None or not (mpmath.isfinite(value) and value > 0):
+            return None
+    return value if mpmath.isfinite(value) else None
+
+
+def _eps_spec(text: str):
+    """Parse --eps as a positive, finite decimal at 64-bit precision."""
+    value = _finite_decimal(text)
+    if value is None or not value > 0:
         raise argparse.ArgumentTypeError("--eps takes a positive decimal, e.g. 1e-25")
     return value
+
+
+def _decimal_spec(label: str, ratio: bool = False):
+    """Check that a flag is a finite decimal (or, with `ratio`, p/q, q != 0).
+
+    The text itself is returned: the handler parses it again at the
+    precision it computes with.
+    """
+    def check(text: str) -> str:
+        if ratio and "/" in text:
+            num, den = text.split("/", 1)
+            try:
+                int(num)
+                valid = int(den) != 0
+            except ValueError:
+                valid = False
+        else:
+            valid = _finite_decimal(text) is not None
+        if not valid:
+            kind = "a finite decimal or p/q" if ratio else "a finite decimal"
+            raise argparse.ArgumentTypeError(f"{label} takes {kind}, got {text!r}")
+        return text
+
+    return check
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_eps_spec, default=None, help="target accuracy for each side")
 
     p = command("threshold", _cmd_threshold, "first N where the sinc identity fails")
-    p.add_argument("--threshold", default=None,
-                   help="frequency budget; decimal or p/q (default: 2*pi)")
+    p.add_argument("--threshold", type=_decimal_spec("--threshold", ratio=True),
+                   default=None, help="frequency budget; decimal or p/q (default: 2*pi)")
 
     p = command("bb", _cmd_bb, "two-point gradient descent vs steepest descent")
     p.add_argument("--problem", choices=("sphere", "quad", "rosenbrock", "random-spd"),
@@ -171,14 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("agm", _cmd_agm, "arithmetic-geometric mean iterations")
-    p.add_argument("--a", default="1", help="first starting value")
-    p.add_argument("--b", default="0.5", help="second starting value")
+    p.add_argument("--a", type=_decimal_spec("--a"), default="1", help="first starting value")
+    p.add_argument("--b", type=_decimal_spec("--b"), default="0.5", help="second starting value")
     p.add_argument("--kind", choices=("2", "3"), default="2", help="quadratic or cubic mean")
     p.add_argument("--trajectory", action="store_true", help="print every iterate")
 
     p = command("recognize", _cmd_recognize, "identify a decimal as a combination of constants",
                 digits=50, fmt="json")
-    p.add_argument("--value", default=None, help="decimal string to identify")
+    p.add_argument("--value", type=_decimal_spec("--value"), default=None,
+                   help="decimal string to identify")
     p.add_argument(
         "--basis",
         default="one,gamma,em2gamma,zeta3,pi2",
@@ -489,13 +520,17 @@ def run(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         result = args.handler(args)
-        data = result if isinstance(result, bytes) else _render(args.format, *result)
-        with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
-            fh.write(data)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    data = result if isinstance(result, bytes) else _render(args.format, *result)
+    try:
+        with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
+            fh.write(data)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -37,6 +37,17 @@ class TestKnownValues:
         with mp.workprec(ctx.bits + 16):
             assert abs(rec.value.value - 7 * z3 / 12) < mpf(10) ** -32
 
+    def test_cold_c4_builds_gamma_once(self):
+        # every K0 series call at one precision shares one gamma, built at
+        # the widest working precision a series argument can need
+        ctx = PrecisionContext.from_digits(57)  # no other c_n test: the K0 memo starts cold
+        before = functions._euler_gamma_raw.cache_info().misses
+        rec = bessel_moments.c_n(4, ctx, eps=mpf(10) ** -30)
+        assert functions._euler_gamma_raw.cache_info().misses - before <= 1
+        z3 = functions.zeta3(ctx).value
+        with mp.workprec(ctx.bits + 16):
+            assert abs(rec.value.value - 7 * z3 / 12) < mpf(10) ** -28
+
     def test_c3_against_library_quadrature(self):
         # independent route: mpmath's own Bessel function and integrator
         ctx = PrecisionContext.from_digits(25)

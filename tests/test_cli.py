@@ -136,6 +136,10 @@ class TestBb:
         assert run(["bb", "--problem", "quad", "--x0", "1,2,3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_tolerance_fails_cleanly(self, capsys):
+        assert run(["bb", "--problem", "sphere", "--tol", "nan"]) == 1
+        assert "error: tol must be positive" in capsys.readouterr().err
+
 
 class TestAgm:
     def test_value(self, capsys):
@@ -229,6 +233,14 @@ class TestOutputFile:
         # note the final digit rounds up: ...2710|87 renders as ...2711
         assert target.read_text() == "0.630473503374386796122040192711\n"
 
+    def test_unopenable_path_is_an_error_line(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "value.txt"
+        assert run(["cinf", "--digits", "10", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(target) in captured.err
+
 
 class TestEnvironmentDefaults:
     def test_env_sets_default_digits(self, monkeypatch, capsys):
@@ -270,6 +282,24 @@ class TestUsageErrors:
 
     def test_walk_takes_no_format(self, capsys):
         assert run(["walk", "--digits", "10", "--format", "json"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["agm", "--a", "abc"],
+            ["agm", "--b", "abc"],
+            ["agm", "--b", "inf"],
+            ["recognize", "--value", "abc"],
+            ["recognize", "--value", "nan"],
+            ["threshold", "--threshold", "abc"],
+            ["threshold", "--threshold", "1/0"],
+            ["threshold", "--threshold", "7/2/1"],
+            ["threshold", "--threshold", "inf"],
+        ],
+    )
+    def test_malformed_decimal(self, argv, capsys):
+        assert run(argv) == 2
+        assert argv[1] in capsys.readouterr().err
 
 
 class TestSinc:

@@ -1,5 +1,8 @@
+import math
+
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from expmath import functions
@@ -90,6 +93,30 @@ class TestBesselK0:
         with mp.workprec(ctx.bits + 64):
             ref = mpmath.besselk(0, t.value)
             assert abs(ours.value - ref) < abs(ref) * mpf(10) ** -44
+
+    @given(digits=st.integers(15, 110), position=st.floats(0, 1))
+    def test_series_route_matches_library_bessel(self, digits, position):
+        # t runs log-uniformly from 1e-30 up to 0.99 of the series/asymptotic
+        # switch, so every example takes the fixed-point ascending series
+        ctx = PrecisionContext.from_digits(digits)
+        top = math.log10(0.99 * functions._k0_switch(ctx.bits + 16))
+        with mp.workprec(ctx.bits):
+            t = mpf(10) ** (-30 + position * (top + 30))
+        ours = functions.bessel_k0(t, ctx)
+        with mp.workprec(ctx.bits + 64):
+            ref = mpmath.besselk(0, t)
+            assert abs(ours.value - ref) <= abs(ref) * mpf(10) ** -digits
+
+    def test_series_at_its_worst_cancellation(self):
+        # next to the switch the two halves of the series cancel to ~0.87 t
+        # digits, the most the cancellation bits and guard bits must absorb
+        ctx = PrecisionContext.from_digits(105)
+        with mp.workprec(ctx.bits):
+            t = +(mpf("0.95") * functions._k0_switch(ctx.bits + 16))
+        ours = functions.bessel_k0(t, ctx)
+        with mp.workprec(ctx.bits + 64):
+            ref = mpmath.besselk(0, t)
+            assert abs(ours.value - ref) <= abs(ref) * mpf(10) ** -105
 
     def test_log_route_for_huge_argument(self):
         ctx = PrecisionContext.from_digits(30)
