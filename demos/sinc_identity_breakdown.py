@@ -6,8 +6,11 @@ below pi/2 by the same ~2.3e-11 — the sum and integral still agree with each
 other, only the pi/2 evaluation breaks.  The driving quantity is the
 frequency budget sum 1/(2k+1): the pi/2 value survives while the budget
 stays under 2, and the sum/integral agreement survives until it passes 2*pi,
-which happens at N = 40249.
+which happens at N = 40249.  The budget grows like ln(N)/2, so 3*pi is only
+passed at N = 21553437.
 """
+
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -32,7 +35,8 @@ def main() -> None:
                   f"{mp.nstr(rep.difference.value, 3)}")
 
     print("\nfrequency budgets and first crossings:")
-    for label, budget in [("4/3", mpf(4) / 3), ("2", mpf(2)), ("e", mp.e)]:
+    # 4/3 as an exact Fraction: its 53-bit rounding lies below S(1) = 4/3
+    for label, budget in [("4/3", Fraction(4, 3)), ("2", mpf(2)), ("e", mp.e)]:
         with mp.workprec(ctx.bits):
             n = sinc_identity.threshold_scan(+budget, ctx)
         print(f"  budget {label:>4}: first N with sum 1/(2k+1) > budget is {n}")
@@ -41,6 +45,9 @@ def main() -> None:
         two_pi = 2 * agm.pi_value(PrecisionContext(ctx.bits + 48, 40)).value
     n_star = sinc_identity.threshold_scan(two_pi, ctx)
     print(f"  budget 2*pi: {n_star}  <- the sum/integral identity fails from here on")
+    with mp.workprec(ctx.bits + 48):
+        three_pi = 3 * agm.pi_value(PrecisionContext(ctx.bits + 48, 40)).value
+    print(f"  budget 3*pi: {sinc_identity.threshold_scan(three_pi, ctx)}")
 
 
 if __name__ == "__main__":

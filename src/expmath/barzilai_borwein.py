@@ -125,8 +125,8 @@ def bb_minimize(
     variant = variant.lower()
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if not tol > 0:  # also rejects nan
-        raise DomainError("tol must be positive")
+    if not 0 < tol < np.inf:  # also rejects nan
+        raise DomainError("tol must be positive and finite")
     if safeguard is None:
         safeguard = SafeguardConfig(enabled=False)
 
@@ -215,8 +215,8 @@ def steepest_descent_baseline(
     max_iter: int = 100_000,
 ) -> MinimizeResult:
     """Steepest descent: exact line search on quadratics, backtracking otherwise."""
-    if not tol > 0:  # also rejects nan
-        raise DomainError("tol must be positive")
+    if not 0 < tol < np.inf:  # also rejects nan
+        raise DomainError("tol must be positive and finite")
     x = np.array(x0, dtype=float)
     if x.shape != (f.dimension,):
         raise DomainError(f"x0 must have dimension {f.dimension}")

@@ -34,13 +34,14 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp, mpf
 
-from . import quadrature
+from . import functions, quadrature
 from .precision import (
     BigReal,
     ConvergenceError,
     DomainError,
     PrecisionContext,
     PrecisionError,
+    _to_fraction,
     as_mpf,
     make_real,
 )
@@ -50,6 +51,13 @@ EXPANSION_LIMIT = 12
 
 #: Direct summation refuses more terms than this.
 _DIRECT_TERM_CAP = 5_000_000
+
+#: threshold_scan refuses a crossing index whose estimate needs more bits.
+_SCAN_PREC_CAP = 4096
+
+#: Euler's constant to double precision: locates crossings below 2^40
+#: without building gamma at the scan's working precision.
+_GAMMA_ESTIMATE = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -302,9 +310,7 @@ def sinc_integral(N: int, eps, ctx: PrecisionContext) -> BigReal:
     panel_len = 3
     n_panels = (T + panel_len - 1) // panel_len
     panel_eps = eps_v / (4 * n_panels)
-    total_err_budget = mpf(0)
-    with mp.workprec(ctx.bits + 32):
-        acc = mpf(0)
+    acc = mpf(0)
     for i in range(n_panels):
         lo = i * panel_len
         hi = min(T, lo + panel_len)
@@ -313,13 +319,10 @@ def sinc_integral(N: int, eps, ctx: PrecisionContext) -> BigReal:
             raise ConvergenceError(f"panel [{lo},{hi}] of the sinc integral did not converge")
         with mp.workprec(ctx.bits + 32):
             acc += res.value.value
-            total_err_budget += abs(res.error_estimate.value)
     if exact_tail:
         tail = _expansion_tail(N, T, ctx)
         with mp.workprec(ctx.bits + 32):
             acc = +(acc + tail)
-    with mp.workprec(ctx.bits + 32):
-        acc = +acc
     return make_real(acc, ctx)
 
 
@@ -367,49 +370,79 @@ def identity_report(N: int, eps, ctx: PrecisionContext) -> SincIdentityReport:
 
 
 def threshold_scan(threshold, ctx: PrecisionContext) -> int:
-    """Smallest N with sum_{k=0}^{N} 1/(2k+1) > threshold (strict).
+    """Smallest N with S(N) = sum_{k=0}^{N} 1/(2k+1) > threshold (strict).
 
-    The running sum carries extra precision; any comparison too close to
-    call at working precision is retried at higher precision, or decided by
-    exact rational arithmetic when the threshold is an exact Fraction and
-    the crossing happens early enough for that to be affordable.
+    S(N) ~ ln 2 + ln(N+1)/2 + gamma/2 puts the crossing near
+    exp(2*threshold - gamma - ln 4), evaluated at wp = ctx.bits + 48 +
+    bits(N) + 16; N then steps by one until S(N-1) <= threshold < S(N).
+    Each comparison is exact rational arithmetic for N < wp, otherwise
+    `_odd_sum`'s rigorous bracket, falling back to exact for N <= 4000 when
+    the bracket is too close to call.  A plain mpf is the threshold verbatim
+    (its binary value), a Fraction exactly.  A comparison still undecided
+    is retried once at 2*wp, then raises PrecisionError.  An estimate that
+    needs more than _SCAN_PREC_CAP bits (bits(N) + 64) raises
+    ConvergenceError before any wide arithmetic.
     """
-    exact = threshold if isinstance(threshold, Fraction) else None
-    base = exact if exact is not None else as_mpf(threshold, ctx)
-    with mp.workprec(ctx.bits + 16):
-        probe = _frac_to_mpf(exact) if exact is not None else base
-        if not probe > 1:
-            raise DomainError("threshold must exceed 1 (the first term)")
-    prec = ctx.bits + 48
-    for _attempt in range(4):
-        result = _scan_once(base, prec)
-        if result is not None:
-            return result
-        prec *= 2
-    raise PrecisionError("threshold comparison remained ambiguous at escalated precision")
+    thr = threshold if isinstance(threshold, Fraction) else as_mpf(threshold, ctx)
+    if not 1 < thr < math.inf:
+        raise DomainError("threshold must be finite and exceed 1 (the first term)")
+    exact = thr if isinstance(thr, Fraction) else _to_fraction(thr)
+    with mp.workprec(64):
+        t = _frac_to_mpf(exact)
+        n_bits = int((2 * t - _GAMMA_ESTIMATE - mpmath.ln(4)) / mpmath.ln(2)) + 2
+    if n_bits + 64 > _SCAN_PREC_CAP:
+        raise ConvergenceError(f"threshold {mpmath.nstr(t, 8)} is out of reach: its crossing index "
+                               f"has ~{n_bits} bits, and locating it needs {n_bits + 64} > "
+                               f"{_SCAN_PREC_CAP} bits")
+    wp = ctx.bits + 48 + n_bits + 16
+    for prec in (wp, 2 * wp):
+        with mp.workprec(prec):
+            t = _frac_to_mpf(exact)
+            gamma = _GAMMA_ESTIMATE if n_bits < 40 else functions._euler_gamma_raw(prec)
+            n = max(1, int(mpmath.exp(2 * t - gamma - mpmath.ln(4))))
+        try:
+            while not _exceeds(n, t, exact, prec):
+                n += 1
+            while n > 1 and _exceeds(n - 1, t, exact, prec):
+                n -= 1
+            return n
+        except PrecisionError:
+            if prec > wp:
+                raise
 
 
-def _scan_once(threshold, prec: int):
-    exact = threshold if isinstance(threshold, Fraction) else None
-    with mp.workprec(prec):
-        # A Fraction re-rounds at each scan precision; a plain mpf is taken
-        # verbatim, making the given binary value the threshold by definition.
-        thr = _frac_to_mpf(exact) if exact is not None else mpf(threshold)
-        total = mpf(0)
-        margin_unit = mpmath.ldexp(1, -(prec - 6))
-        k = 0
+def _exceeds(N: int, t: mpf, exact: Fraction, wp: int) -> bool:
+    """S(N) > exact, where t is exact rounded at wp."""
+    if N >= wp:
+        s, err = _odd_sum(N, wp)
+        with mp.workprec(wp):
+            gap = s - t  # rounding keeps the sign and moves |gap| by at most 1 ulp
+            if abs(gap) > 2 * (err + mpmath.ldexp(t, -wp)):
+                return gap > 0
+        if N > 4000:
+            raise PrecisionError(f"S({N}) is too close to the threshold to decide at {wp} bits")
+    return sum((Fraction(1, 2 * k + 1) for k in range(N + 1)), Fraction(0)) > exact
+
+
+def _odd_sum(N: int, wp: int):
+    """(s, err) with |S(N) - s| <= err, for N >= wp.
+
+    S(N) = H_{2N+1} - H_N/2, with H_n = ln n + gamma + 1/(2n)
+    - sum_{k<=m} B_{2k}/(2k n^{2k}) + R_m and |R_m| at most the first
+    omitted term (the series envelops psi, DLMF 5.11(ii)).  At n >= wp that
+    bound falls below 2^-wp within m < wp/10 terms.  Roundoff is charged at
+    5m + 16 ulps of ln(2N+1) + 1.
+    """
+    gamma = functions._euler_gamma_raw(wp)
+    with mp.workprec(wp):
+        a, b = mpf(2 * N + 1), mpf(N)
+        ln_a = mpmath.ln(a)
+        s = ln_a - mpmath.ln(b) / 2 + gamma / 2 + 1 / (2 * a) - 1 / (4 * b)
+        pa, pb, m = 1 / (a * a), 1 / (b * b), 0  # a^{-2k}, b^{-2k}
         while True:
-            total += mpf(1) / (2 * k + 1)
-            gap = total - thr
-            if abs(gap) <= (k + 4) * margin_unit * max(1, total):
-                if exact is not None and k <= 4000:
-                    exact_sum = sum((Fraction(1, 2 * j + 1) for j in range(k + 1)), Fraction(0))
-                    if exact_sum > exact:
-                        return k
-                else:
-                    return None  # too close to call; caller escalates precision
-            elif gap > 0:
-                return k
-            k += 1
-            if k > 10_000_000:
-                raise ConvergenceError("threshold scan ran away; threshold too large")
+            c = _frac_to_mpf(_bernoulli_number(2 * m + 2) / (2 * m + 2))
+            tail = abs(c) * (pa + pb / 2)
+            if tail < mpmath.ldexp(1, -wp):
+                return s, tail + (5 * m + 16) * mpmath.ldexp(ln_a + 1, -wp)
+            s -= c * (pa - pb / 2)
+            pa, pb, m = pa / (a * a), pb / (b * b), m + 1

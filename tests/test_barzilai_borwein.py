@@ -216,10 +216,11 @@ class TestMinimization:
             bb.bb_minimize(problem, [1.0, 1.0], tol=1e-8, variant="newton")
 
     @pytest.mark.parametrize("minimize", [bb.bb_minimize, bb.steepest_descent_baseline])
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_tolerance_that_is_not_positive(self, minimize, tol):
         # nan compares false both ways: a `tol <= 0` check would let it
-        # through and the iteration could never converge
+        # through and the iteration could never converge; an infinite
+        # tolerance would report convergence before the first step
         with pytest.raises(DomainError):
             minimize(bb.sphere(2), [1.0, 1.0], tol=tol)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,21 @@ class TestThreshold:
         assert run(["threshold", "--threshold", "0.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_ten_answers_from_the_closed_form(self, capsys):
+        # the linear scan took over 30 s here (e^20 terms)
+        start = time.monotonic()
+        assert run(["threshold", "--threshold", "1e1"]) == 0
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == "68100150\n"
+
+    def test_huge_threshold_fails_fast(self, capsys):
+        start = time.monotonic()
+        assert run(["threshold", "--threshold", "1e6"]) == 1
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "out of reach" in captured.err
+        assert captured.out == ""
+
 
 class TestBb:
     def test_beats_baseline_on_skewed_quadratic(self, capsys):
@@ -137,8 +153,11 @@ class TestBb:
         assert "error:" in capsys.readouterr().err
 
     def test_nan_tolerance_fails_cleanly(self, capsys):
-        assert run(["bb", "--problem", "sphere", "--tol", "nan"]) == 1
-        assert "error: tol must be positive" in capsys.readouterr().err
+        for tol in ("nan", "inf"):
+            assert run(["bb", "--problem", "sphere", "--tol", tol]) == 1
+            captured = capsys.readouterr()
+            assert "error: tol must be positive" in captured.err
+            assert captured.out == ""
 
 
 class TestAgm:

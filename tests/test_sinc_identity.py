@@ -1,9 +1,11 @@
 """Products of shifted sinc factors: sum/integral agreement and thresholds."""
 
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from expmath import sinc_identity
@@ -11,6 +13,7 @@ from expmath.precision import (
     ConvergenceError,
     DomainError,
     PrecisionContext,
+    PrecisionError,
 )
 
 # At N=7 both the sum and the integral drop below pi/2 by exactly this
@@ -183,3 +186,107 @@ class TestThresholdScan:
         crossings = [sinc_identity.threshold_scan(t, ctx) for t in grid]
         assert crossings == sorted(crossings)
         assert crossings[0] < crossings[-1]
+
+
+def _odd_partial_sums(count):
+    sums = [Fraction(1)]
+    for k in range(1, count):
+        sums.append(sums[-1] + Fraction(1, 2 * k + 1))
+    return sums
+
+
+# S(0..400) exactly: enough for every threshold up to 3.9
+ODD_SUMS = _odd_partial_sums(401)
+
+
+def _brute_force_crossing(threshold):
+    return next(n for n, s in enumerate(ODD_SUMS) if s > threshold)
+
+
+def _psi_crossing(threshold):
+    """Smallest N with S(N) > threshold, by S(N) = psi(N+3/2)/2 + gamma/2 + ln 2."""
+    with mp.workdps(80):
+        t = mpf(threshold)
+        partial = lambda n: mpmath.psi(0, n + mpf(3) / 2) / 2 + mpmath.euler / 2 + mpmath.ln(2)
+        n = int(mpmath.exp(2 * t - mpmath.euler - mpmath.ln(4)))
+        while partial(n) > t:
+            n -= 1
+        while not partial(n) > t:
+            n += 1
+        return n
+
+
+class TestThresholdClosedForm:
+    @given(
+        q=st.integers(1, 10**12),
+        position=st.fractions(0, 1).filter(lambda f: f > 0),
+    )
+    def test_rational_thresholds_match_brute_force(self, q, position):
+        # p/q in (1, 7/2], crossing by N = 154: below wp, so every
+        # comparison is an exact sum
+        threshold = 1 + Fraction(round(position * 5 * q / 2) or 1, q)
+        ctx = PrecisionContext.from_digits(30)
+        assert sinc_identity.threshold_scan(threshold, ctx) == _brute_force_crossing(threshold)
+
+    @given(N=st.integers(1, 300))
+    def test_exact_partial_sums_are_ties(self, N):
+        # S(N) itself is not exceeded at N (the inequality is strict); from
+        # N = wp (about 211) on, S(N-1) and S(N+1) come from the
+        # Euler-Maclaurin bracket and the tie from the exact fallback
+        ctx = PrecisionContext.from_digits(30)
+        assert sinc_identity.threshold_scan(ODD_SUMS[N], ctx) == N + 1
+
+    @pytest.mark.parametrize(
+        "label, multiple, expected",
+        [
+            ("3*pi", 3, 21553437),
+            ("10*pi", 10, 272135693188521241555712240),
+            ("1e1", None, 68100150),
+        ],
+    )
+    def test_large_thresholds_match_psi(self, label, multiple, expected):
+        ctx = PrecisionContext.from_digits(30)
+        with mp.workprec(ctx.bits + 48):
+            threshold = multiple * mpmath.pi if multiple else mpf(10)
+        start = time.monotonic()
+        n = sinc_identity.threshold_scan(threshold, ctx)
+        assert time.monotonic() - start < 1.0, label
+        assert n == expected == _psi_crossing(threshold)
+
+    @pytest.mark.parametrize("N", [206, 207, 300, 1000, 2500])
+    def test_partial_sum_bracket_holds(self, N):
+        # the Euler-Maclaurin bracket holds the exact sum from N = wp on
+        exact = _odd_partial_sums(N + 1)[N]
+        s, err = sinc_identity._odd_sum(N, 206)
+        with mp.workprec(400):
+            gap = abs(mpf(exact.numerator) / exact.denominator - s)
+            assert gap <= err < mpf(2) ** -190
+
+    @pytest.mark.parametrize("N", [1000, 4000])
+    def test_ties_past_twice_the_working_precision_are_settled_exactly(self, N):
+        # the bracket cannot split a tie at wp or 2*wp; exact sums do up to 4000
+        ctx = PrecisionContext.from_digits(30)
+        tie = _odd_partial_sums(N + 1)[N]
+        assert sinc_identity.threshold_scan(tie, ctx) == N + 1
+
+    def test_tie_too_large_for_exact_rationals_is_a_precision_error(self):
+        # S(4001) as a Fraction stays ambiguous at both precisions, and the
+        # exact tie-break stops at N = 4000
+        ctx = PrecisionContext.from_digits(30)
+        tie = _odd_partial_sums(4002)[4001]
+        with pytest.raises(PrecisionError):
+            sinc_identity.threshold_scan(tie, ctx)
+        assert sinc_identity.threshold_scan(tie + Fraction(1, 10**80), ctx) == 4002
+
+    @pytest.mark.parametrize("threshold", [mpf(10) ** 6, Fraction(2000), mpf("1e300")])
+    def test_unreachable_threshold_fails_fast(self, threshold):
+        ctx = PrecisionContext.from_digits(30)
+        start = time.monotonic()
+        with pytest.raises(ConvergenceError, match="out of reach"):
+            sinc_identity.threshold_scan(threshold, ctx)
+        assert time.monotonic() - start < 0.5
+
+    def test_rejects_infinite_threshold(self):
+        ctx = PrecisionContext.from_digits(30)
+        with pytest.raises(DomainError):
+            sinc_identity.threshold_scan(mpmath.inf, ctx)
