@@ -31,7 +31,6 @@ from .sinc_identity import (
     threshold_scan,
 )
 from .agm import PiResult, agm2, agm3, archimedes_bounds, gauss_legendre_pi
-from .barzilai_borwein import bb_minimize, bb_step, steepest_descent_baseline
 from .relations import (
     BasisConstant,
     RecognitionMatch,
@@ -41,6 +40,21 @@ from .relations import (
 from .digit_walks import DigitStream, WalkPath, digits, render, walk
 
 __version__ = "0.1.0"
+
+# The optimizer is the only module that needs numpy, and numpy is most of
+# the import time, so its names are resolved on first access (PEP 562).
+_LAZY = {"bb_minimize", "bb_step", "steepest_descent_baseline"}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import barzilai_borwein
+
+        value = getattr(barzilai_borwein, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BigReal",

@@ -24,7 +24,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from . import agm, barzilai_borwein, bessel_moments, digit_walks, functions
+from . import agm, bessel_moments, digit_walks, functions
 from . import quadrature, relations, sinc_identity
 from .precision import BigReal, NumericsError, PrecisionContext, parse_decimal
 
@@ -357,6 +357,8 @@ def _cmd_threshold(args):
 
 
 def _bb_problem(args):
+    from . import barzilai_borwein
+
     if args.problem == "random-spd":
         return barzilai_borwein.random_spd(args.dimension, args.seed)
     if args.problem == "sphere":
@@ -374,6 +376,10 @@ _BB_DEFAULT_STARTS = {
 
 
 def _cmd_bb(args):
+    # Imported here, not at module level: numpy is most of the start-up time
+    # of every other subcommand.
+    from . import barzilai_borwein
+
     problem = _bb_problem(args)
     x0 = args.x0
     if x0 is None:

@@ -36,6 +36,7 @@ from .precision import (
     ConvergenceError,
     DomainError,
     PrecisionContext,
+    PrecisionError,
     as_mpf,
     make_real,
 )
@@ -294,26 +295,44 @@ def _as_fraction(x) -> Fraction:
     )
 
 
-def hyp2f1(a, b, c, z, ctx: PrecisionContext) -> BigReal:
-    """Gauss hypergeometric series 2F1(a, b; c; z) for |z| < 1.
+#: Bits of the guard band that cancellation in `hyp2f1` may use up before
+#: the sum is redone at a wider precision.
+_HYP2F1_SLACK_BITS = 4
 
-    Parameters a, b, c are exact rationals; the term recurrence keeps them
-    in integer arithmetic so no parameter roundoff enters the sum.
+
+def _hyp2f1_peak_bits(a: Fraction, b: Fraction, c: Fraction, az: float) -> int:
+    """log2 of the largest |term| of the 2F1 series (at least 0, the first
+    term being 1), from the series' integer term ratios, summed in log2.
+
+    Once k passes max(-a, -b, -c) no factor changes sign, and the term ratio
+    exceeds 1 only between the roots of
+    (|z| - 1) k^2 + (|z|(a + b) - c - 1) k + |z| ab - c,
+    so the peak lies at or before the larger of these two points.
     """
-    fa, fb, fc = _as_fraction(a), _as_fraction(b), _as_fraction(c)
-    if fc.denominator == 1 and fc <= 0:
-        raise DomainError("2F1 is undefined for c a nonpositive integer")
-    ctx_bits = ctx.bits
-    zv = as_mpf(z, ctx)
-    az = abs(zv)
-    if not az < 1:
-        raise DomainError("2F1 series requires |z| < 1")
-    # Terms decay like |z|^k; slow decay near |z|=1 costs log2(#terms) bits.
-    if az > 0:
-        est_terms = ctx_bits * math.log(2) / min(1.0, -math.log(float(az)) + 1e-12) + 16
-    else:
-        est_terms = 4
-    wp = ctx_bits + 16 + int(math.log2(est_terms + 4))
+    if az == 0:
+        return 0
+    fa, fb, fc = float(a), float(b), float(c)
+    qa = az - 1.0
+    qb = az * (fa + fb) - fc - 1.0
+    disc = qb * qb - 4.0 * qa * (az * fa * fb - fc)
+    k_end = max(0.0, -fa, -fb, -fc)
+    if disc > 0:
+        k_end = max(k_end, (-qb - math.sqrt(disc)) / (2.0 * qa))
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    cn, cd = c.numerator, c.denominator
+    log_z = math.log2(az)
+    log_term = peak = 0.0
+    for k in range(int(k_end) + 2):
+        p = abs((an + k * ad) * (bn + k * bd) * cd)
+        if p == 0:
+            break  # terminating series
+        log_term += math.log2(p) - math.log2(abs((cn + k * cd) * (k + 1) * ad * bd)) + log_z
+        peak = max(peak, log_term)
+    return math.ceil(peak)
+
+
+def _hyp2f1_sum(fa: Fraction, fb: Fraction, fc: Fraction, zv: mpf, wp: int) -> mpf:
     an, ad = fa.numerator, fa.denominator
     bn, bd = fb.numerator, fb.denominator
     cn, cd = fc.numerator, fc.denominator
@@ -339,7 +358,51 @@ def hyp2f1(a, b, c, z, ctx: PrecisionContext) -> BigReal:
                 small_streak = 0
             if k > 20_000_000:
                 raise ConvergenceError("2F1 series did not converge (z too close to 1)")
-        acc = +acc
+        return +acc
+
+
+def _bits_below_one(x: mpf, wp: int) -> int:
+    """log2(1/|x|) rounded down, at least 0; `wp` (all bits lost) for 0."""
+    return max(0, -int(mpmath.mag(x))) if x else wp
+
+
+def hyp2f1(a, b, c, z, ctx: PrecisionContext) -> BigReal:
+    """Gauss hypergeometric series 2F1(a, b; c; z) for |z| < 1.
+
+    Parameters a, b, c are exact rationals; the term recurrence keeps them
+    in integer arithmetic so no parameter roundoff enters the sum.  When
+    terms can differ in sign (z < 0 or a negative parameter) the sum can be
+    far smaller than its largest term, so it is carried log2(largest term)
+    bits wider, and redone once log2(1/|sum|) bits wider still when
+    |sum| < 2^-4.  If the redone sum is smaller again by more than that
+    margin, the bits it was given did not suffice: PrecisionError.
+    """
+    fa, fb, fc = _as_fraction(a), _as_fraction(b), _as_fraction(c)
+    if fc.denominator == 1 and fc <= 0:
+        raise DomainError("2F1 is undefined for c a nonpositive integer")
+    ctx_bits = ctx.bits
+    zv = as_mpf(z, ctx)
+    az = abs(zv)
+    if not az < 1:
+        raise DomainError("2F1 series requires |z| < 1")
+    # Terms decay like |z|^k; slow decay near |z|=1 costs log2(#terms) bits.
+    if az > 0:
+        est_terms = ctx_bits * math.log(2) / min(1.0, -math.log(float(az)) + 1e-12) + 16
+    else:
+        est_terms = 4
+    wp = ctx_bits + 16 + int(math.log2(est_terms + 4))
+    if zv < 0 or fa < 0 or fb < 0 or fc < 0:
+        wp += _hyp2f1_peak_bits(fa, fb, fc, float(az))
+        acc = _hyp2f1_sum(fa, fb, fc, zv, wp)
+        small = _bits_below_one(acc, wp)
+        if small > _HYP2F1_SLACK_BITS:
+            acc = _hyp2f1_sum(fa, fb, fc, zv, wp + small)
+            if _bits_below_one(acc, wp + small) > small + _HYP2F1_SLACK_BITS:
+                raise PrecisionError(
+                    f"2F1 terms cancel by more than the {small} bits the redone sum was given"
+                )
+    else:
+        acc = _hyp2f1_sum(fa, fb, fc, zv, wp)
     return make_real(acc, ctx)
 
 

@@ -646,3 +646,49 @@ class TestRealProcess:
         )
         assert proc.returncode == 0
         assert proc.stdout == expected
+
+
+def _fresh_python(*args):
+    src = str(Path(expmath.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+class TestImportHygiene:
+    """Only the float-regime optimizer needs numpy, and importing it is most
+    of a cold start, so nothing else may load it."""
+
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            (["cinf", "--digits", "20"], False),
+            (["threshold"], False),
+            (["walk", "--digits", "40", "--size", "16", "--image-format", "ppm"], False),
+            (["bb", "--problem", "sphere"], True),
+        ],
+        ids=["cinf", "threshold", "walk", "bb"],
+    )
+    def test_numpy_only_for_bb(self, argv, loads_numpy):
+        # -X importtime names every module the process imports, on stderr
+        stderr = _fresh_python("-X", "importtime", "-m", "expmath", *argv).stderr.decode()
+        modules = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()}
+        assert ("numpy" in modules) is loads_numpy
+
+    def test_package_import_leaves_numpy_out(self):
+        code = "import sys, expmath; print('numpy' in sys.modules)"
+        assert _fresh_python("-c", code).stdout.decode().split() == ["False"]
+
+    def test_optimizer_names_resolve_on_access(self):
+        from expmath import bb_minimize, bb_step, steepest_descent_baseline
+        from expmath import barzilai_borwein
+
+        assert bb_minimize is barzilai_borwein.bb_minimize
+        assert bb_step is barzilai_borwein.bb_step
+        assert steepest_descent_baseline is barzilai_borwein.steepest_descent_baseline
+        for name in expmath.__all__:
+            assert getattr(expmath, name) is not None
+        with pytest.raises(AttributeError, match="no_such_name"):
+            expmath.no_such_name

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from expmath import functions
@@ -10,6 +11,7 @@ from expmath.precision import (
     ConvergenceError,
     DomainError,
     PrecisionContext,
+    PrecisionError,
     parse_decimal,
 )
 
@@ -214,6 +216,48 @@ class TestHyp2F1:
         ctx = PrecisionContext.from_digits(30)
         with pytest.raises(DomainError):
             functions.hyp2f1((1, 2), (1, 2), (1, 1), 1, ctx)
+
+    # Alternating terms that peak far above the sum they cancel to: summed at
+    # the target precision plus log2(#terms) bits, these come out with
+    # relative error 2.5e-24, as -1.24e10 and as 5.3e25.
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (10, 10, 1, Fraction(-9, 10)),
+            (20, 20, 1, Fraction(-19, 20)),
+            (30, 30, Fraction(1, 2), Fraction(-9, 10)),
+        ],
+    )
+    def test_cancelling_terms(self, a, b, c, z):
+        self._check_against_library(a, b, c, z, 30)
+
+    # 200 draws: among the first 100, no sum cancels far enough to fail a
+    # series summed without the cancellation allowance
+    @settings(max_examples=200)
+    @given(
+        a=st.fractions(-30, 30, max_denominator=16).filter(bool),
+        b=st.fractions(-30, 30, max_denominator=16).filter(bool),
+        c=st.fractions(0, 30, max_denominator=16).filter(bool),
+        z=st.integers(-972, 972).map(lambda n: Fraction(n, 1024)),
+        digits=st.integers(15, 60),
+    )
+    def test_matches_library_over_parameters(self, a, b, c, z, digits):
+        # z is dyadic (|z| <= 0.95), so both routes see the identical argument
+        self._check_against_library(a, b, c, z, digits)
+
+    def test_sum_that_cancels_to_zero_is_an_error(self):
+        # 2F1(-1, 2; 1; 1/2) = 1 - 2z = 0: no working precision gives a zero
+        # sum to relative accuracy
+        with pytest.raises(PrecisionError):
+            functions.hyp2f1(-1, 2, 1, Fraction(1, 2), PrecisionContext.from_digits(30))
+
+    @staticmethod
+    def _check_against_library(a, b, c, z, digits):
+        ours = functions.hyp2f1(Fraction(a), Fraction(b), Fraction(c), z, PrecisionContext.from_digits(digits))
+        with mp.workdps(2 * digits):
+            exact = [mpf(x.numerator) / x.denominator for x in map(Fraction, (a, b, c, z))]
+            ref = mpmath.hyp2f1(*exact)
+            assert abs(ours.value - ref) <= abs(ref) * mpf(10) ** -digits
 
 
 class TestElementary:

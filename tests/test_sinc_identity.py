@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
-from expmath import sinc_identity
+from expmath import functions, sinc_identity
 from expmath.precision import (
     ConvergenceError,
     DomainError,
@@ -290,3 +290,21 @@ class TestThresholdClosedForm:
         ctx = PrecisionContext.from_digits(30)
         with pytest.raises(DomainError):
             sinc_identity.threshold_scan(mpmath.inf, ctx)
+
+    def test_high_precision_scan_from_cold_caches(self, monkeypatch):
+        # At 1150 digits N = 4009 is near wp, where the Euler-Maclaurin
+        # bracket needs B_2..B_572; gamma and the Bernoulli table start empty
+        monkeypatch.setattr(sinc_identity, "_EVEN_BERNOULLI", (Fraction(1),))
+        functions._euler_gamma_raw.cache_clear()
+        ctx = PrecisionContext.from_digits(1150)
+        start = time.monotonic()
+        n = sinc_identity.threshold_scan(Fraction(513, 100), ctx)
+        assert time.monotonic() - start < 0.6
+        assert n == 4009
+
+
+class TestBernoulliNumbers:
+    def test_match_library(self, monkeypatch):
+        monkeypatch.setattr(sinc_identity, "_EVEN_BERNOULLI", (Fraction(1),))
+        for m in range(201):
+            assert sinc_identity._bernoulli_number(m) == Fraction(*map(int, mpmath.bernfrac(m))), m
