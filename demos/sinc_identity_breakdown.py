@@ -3,11 +3,12 @@
 For N = 1..6 the shifted-sinc sum 1/2 + sum_n prod_k sinc(n/(2k+1)) equals
 the integral of the same product: both are pi/2.  At N = 7 both sides drop
 below pi/2 by the same ~2.3e-11 — the sum and integral still agree with each
-other, only the pi/2 evaluation breaks.  The driving quantity is the
-frequency budget sum 1/(2k+1): the pi/2 value survives while the budget
-stays under 2, and the sum/integral agreement survives until it passes 2*pi,
-which happens at N = 40249.  The budget grows like ln(N)/2, so 3*pi is only
-passed at N = 21553437.
+other, only the pi/2 evaluation breaks.  The integral is an exact rational
+multiple of pi there (Borwein's sign-sum formula), so the break is exact.
+The driving quantity is the frequency budget sum 1/(2k+1): the pi/2 value
+survives while the budget stays under 2, and the sum/integral agreement
+survives until it passes 2*pi, which happens at N = 40249.  The budget grows
+like ln(N)/2, so 3*pi is only passed at N = 21553437.
 """
 
 from fractions import Fraction
@@ -33,6 +34,10 @@ def main() -> None:
             di = rep.rhs.value - half_pi
             print(f"{n:<4d} {mp.nstr(ds, 6):<17} {mp.nstr(di, 6):<17} "
                   f"{mp.nstr(rep.difference.value, 3)}")
+
+    r = sinc_identity.sinc_integral_ratio(7)
+    print(f"\nN = 7 exactly: integral = pi * {r}")
+    print(f"              = pi/2 - pi * {Fraction(1, 2) - r}")
 
     print("\nfrequency budgets and first crossings:")
     # 4/3 as an exact Fraction: its 53-bit rounding lies below S(1) = 4/3

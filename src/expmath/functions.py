@@ -299,6 +299,10 @@ def _as_fraction(x) -> Fraction:
 #: the sum is redone at a wider precision.
 _HYP2F1_SLACK_BITS = 4
 
+#: `hyp2f1` refuses a series estimated to need more terms than this, about
+#: 4 s of summing; at 30 digits the cap falls near z = 0.9995.
+_HYP2F1_TERM_CAP = 200_000
+
 
 def _hyp2f1_peak_bits(a: Fraction, b: Fraction, c: Fraction, az: float) -> int:
     """log2 of the largest |term| of the 2F1 series (at least 0, the first
@@ -370,39 +374,64 @@ def hyp2f1(a, b, c, z, ctx: PrecisionContext) -> BigReal:
     """Gauss hypergeometric series 2F1(a, b; c; z) for |z| < 1.
 
     Parameters a, b, c are exact rationals; the term recurrence keeps them
-    in integer arithmetic so no parameter roundoff enters the sum.  When
-    terms can differ in sign (z < 0 or a negative parameter) the sum can be
-    far smaller than its largest term, so it is carried log2(largest term)
-    bits wider, and redone once log2(1/|sum|) bits wider still when
+    in integer arithmetic so no parameter roundoff enters the sum.  For
+    z < 0 the Pfaff transformation (DLMF 15.8.1)
+    2F1(a, b; c; z) = (1-z)^-a 2F1(a, c-b; c; z/(z-1)) sums a series in
+    w = z/(z-1), which lies in (0, 1/2), instead of the alternating one in z.
+    When terms can still differ in sign (a negative parameter) the sum can
+    be far smaller than its largest term, so it is carried log2(largest
+    term) bits wider, and redone once log2(1/|sum|) bits wider still when
     |sum| < 2^-4.  If the redone sum is smaller again by more than that
-    margin, the bits it was given did not suffice: PrecisionError.
+    margin, the bits it was given did not suffice: PrecisionError.  A
+    series estimated to need more than _HYP2F1_TERM_CAP terms (z near 1)
+    raises ConvergenceError before any summing.
     """
     fa, fb, fc = _as_fraction(a), _as_fraction(b), _as_fraction(c)
     if fc.denominator == 1 and fc <= 0:
         raise DomainError("2F1 is undefined for c a nonpositive integer")
     ctx_bits = ctx.bits
     zv = as_mpf(z, ctx)
-    az = abs(zv)
-    if not az < 1:
+    if not abs(zv) < 1:
         raise DomainError("2F1 series requires |z| < 1")
+    pfaff = zv < 0
+    if pfaff:
+        fb = fc - fb
+    az = float(abs(zv / (zv - 1) if pfaff else zv))
     # Terms decay like |z|^k; slow decay near |z|=1 costs log2(#terms) bits.
     if az > 0:
-        est_terms = ctx_bits * math.log(2) / min(1.0, -math.log(float(az)) + 1e-12) + 16
+        est_terms = ctx_bits * math.log(2) / min(1.0, -math.log(az) + 1e-12) + 16
     else:
         est_terms = 4
+    if est_terms > _HYP2F1_TERM_CAP:
+        raise ConvergenceError(
+            f"2F1 series at z = {mpmath.nstr(zv, 8)} would need ~{est_terms:.3g} > "
+            f"{_HYP2F1_TERM_CAP} terms (z too close to 1)"
+        )
     wp = ctx_bits + 16 + int(math.log2(est_terms + 4))
-    if zv < 0 or fa < 0 or fb < 0 or fc < 0:
-        wp += _hyp2f1_peak_bits(fa, fb, fc, float(az))
-        acc = _hyp2f1_sum(fa, fb, fc, zv, wp)
+
+    def series(prec: int) -> mpf:
+        if not pfaff:
+            return _hyp2f1_sum(fa, fb, fc, zv, prec)
+        with mp.workprec(prec):
+            w = zv / (zv - 1)
+        return _hyp2f1_sum(fa, fb, fc, w, prec)
+
+    if fa < 0 or fb < 0 or fc < 0:
+        wp += _hyp2f1_peak_bits(fa, fb, fc, az)
+        acc = series(wp)
         small = _bits_below_one(acc, wp)
         if small > _HYP2F1_SLACK_BITS:
-            acc = _hyp2f1_sum(fa, fb, fc, zv, wp + small)
-            if _bits_below_one(acc, wp + small) > small + _HYP2F1_SLACK_BITS:
+            wp += small
+            acc = series(wp)
+            if _bits_below_one(acc, wp) > small + _HYP2F1_SLACK_BITS:
                 raise PrecisionError(
                     f"2F1 terms cancel by more than the {small} bits the redone sum was given"
                 )
     else:
-        acc = _hyp2f1_sum(fa, fb, fc, zv, wp)
+        acc = series(wp)
+    if pfaff:
+        with mp.workprec(wp):
+            acc = +(acc * (1 - zv) ** -(mpf(fa.numerator) / fa.denominator))
     return make_real(acc, ctx)
 
 

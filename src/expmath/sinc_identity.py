@@ -9,19 +9,20 @@ are computed independently.  The identity holds exactly while the total
 frequency sum_{k=0}^{N} 1/(2k+1) stays below 2*pi (a Poisson-summation
 aliasing criterion) and first fails at N = 40249.
 
-Evaluation strategy.  The product of N+1 sines expands exactly into
-2^N cosines (N+1 even) or sines (N+1 odd) at frequencies
-sum_k (+/-)1/(2k+1), all lying in (0, 2*pi) for N <= 12.  That turns the
-infinite sum into finitely many Fourier series sum cos(n*theta)/n^s resp.
-sum sin(n*theta)/n^s with known Bernoulli-polynomial closed forms - no
-truncation at all.  For larger N the terms die off so fast (D/n^{N+1} with
-D = (2N+1)!!) that direct summation with that rigorous tail bound is cheap;
-the two routes cross-check each other on overlapping cases.
+Sum side.  The product of N+1 sines expands exactly into 2^N cosines
+(N+1 even) or sines (N+1 odd) at frequencies sum_k (+/-)1/(2k+1), all lying
+in (0, 2*pi) for N <= 12.  That turns the infinite sum into finitely many
+Fourier series sum cos(n*theta)/n^s resp. sum sin(n*theta)/n^s with known
+Bernoulli-polynomial closed forms - no truncation at all.  For larger N the
+terms die off so fast (D/n^{N+1} with D = (2N+1)!!) that direct summation
+with that rigorous tail bound is cheap; the two routes cross-check each
+other on overlapping cases.
 
-The integral side uses panel quadrature on [0, T] and, in the expansion
-range, closes the tail int_T^inf exactly via cosine/sine-integral
-recurrences; beyond the expansion range an envelope truncation with the same
-D/(N T^N) bound applies.
+Integral side.  For N <= 12 it is r*pi with r an exact rational, summed
+in integers over the sign patterns of the frequencies (Borwein's formula,
+sharing nothing with the sum side's expansion): r = 1/2 for N <= 6, and the
+break at N = 7 is exact.  Beyond, panelled tanh-sinh quadrature on [0, T]
+under the envelope tail bound D/(N T^N), refused past _PANEL_CAP panels.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ EXPANSION_LIMIT = 12
 
 #: Direct summation refuses more terms than this.
 _DIRECT_TERM_CAP = 5_000_000
+
+#: The panelled integral (N > EXPANSION_LIMIT) refuses more panels than this.
+_PANEL_CAP = 2_000
 
 #: threshold_scan refuses a crossing index whose estimate needs more bits.
 _SCAN_PREC_CAP = 4096
@@ -287,60 +291,74 @@ def _direct_sum(N: int, eps, ctx: PrecisionContext):
         return +total, bound
 
 
-def _tail_integral_pair(v: mpf, s: int):
-    """(I_s, J_s) with I_s = int_v^inf cos(u)/u^s du, J_s the sine version.
+def sinc_integral_ratio(N: int) -> Fraction:
+    """The exact rational r = int_0^inf prod_{k=0}^{N} sinc(x/(2k+1)) dx / pi,
+    for 1 <= N <= EXPANSION_LIMIT.
 
-    Built upward from I_1 = -Ci(v), J_1 = pi/2 - Si(v) via integration by
-    parts; each step loses ~log10(v) digits to cancellation, which the
-    caller's widened precision absorbs.
+    Borwein and Borwein, Ramanujan J. 5 (2001) 73; Baillie, Borwein and
+    Borwein, Amer. Math. Monthly 115 (2008) 888: with m = N+1, P = prod
+    (2k+1) and, for each sign pattern gamma in {+-1}^m, the integer
+    B_gamma = sum gamma_k P/(2k+1) and eps_gamma = prod gamma_k,
+    r = P sum_gamma eps_gamma sgn(B_gamma) B_gamma^(m-1) / (2^(m+1) (m-1)!
+    P^(m-1)).  The summand is even in gamma, so gamma_0 = +1, doubled.
     """
-    I = -mpmath.ci(v)
-    J = mpmath.pi / 2 - mpmath.si(v)
-    if s == 1:
-        return I, J
-    cos_v = mpmath.cos(v)
-    sin_v = mpmath.sin(v)
-    for m in range(2, s + 1):
-        vp = v ** (m - 1)
-        I_next = cos_v / ((m - 1) * vp) - J / (m - 1)
-        J_next = sin_v / ((m - 1) * vp) + I / (m - 1)
-        I, J = I_next, J_next
-    return I, J
-
-
-def _product_integrand(N: int):
-    recip_idx = list(range(N + 1))
-
-    def f(x: mpf) -> mpf:
-        prod = mpf(1)
-        for k in recip_idx:
-            arg = x / (2 * k + 1)
-            if arg == 0:
-                continue
-            prod *= mpmath.sin(arg) / arg
-        return prod
-
-    return f
+    if not 1 <= N <= EXPANSION_LIMIT:
+        raise DomainError(f"the closed form is evaluated for 1 <= N <= {EXPANSION_LIMIT}")
+    m = N + 1
+    P = _odd_double_factorial(N)
+    signed = [(P, 1)]  # (B_gamma, eps_gamma)
+    for k in range(1, m):
+        w = P // (2 * k + 1)
+        signed = [pair for B, e in signed for pair in ((B + w, e), (B - w, -e))]
+    # sgn(0) = 0, and B**(m-1) is 0 there as well
+    total = sum(e * B ** (m - 1) if B > 0 else -e * B ** (m - 1) for B, e in signed)
+    return Fraction(2 * P * total, 2 ** (m + 1) * math.factorial(m - 1) * P ** (m - 1))
 
 
 def sinc_integral(N: int, eps, ctx: PrecisionContext) -> BigReal:
-    """int_0^inf prod_{k=0}^{N} sinc(x/(2k+1)) dx to within eps."""
+    """int_0^inf prod_{k=0}^{N} sinc(x/(2k+1)) dx to within eps.
+
+    For N <= EXPANSION_LIMIT this is sinc_integral_ratio(N) * pi, rounded
+    at ctx.bits + 32 bits; beyond, the panelled quadrature of
+    `_panel_integral`.
+    """
     if N < 1:
         raise DomainError("N must be at least 1")
-    exact_tail = N <= EXPANSION_LIMIT
     with mp.workprec(ctx.bits + 32):
         eps_v = mpf(eps)
         if not eps_v > 0:
             raise ValueError("eps must be positive")
-    if exact_tail:
-        T = 48
-    else:
-        D = _odd_double_factorial(N)
-        log_t = (math.log10(2 * D) - math.log10(N) - math.log10(float(eps_v))) / N
-        T = int(math.ceil(10 ** log_t)) + 1
-    f = _product_integrand(N)
+        if N <= EXPANSION_LIMIT:
+            r = sinc_integral_ratio(N)
+            return make_real(+(mpmath.pi * r.numerator / r.denominator), ctx)
+    return make_real(_panel_integral(N, eps_v, ctx), ctx)
+
+
+def _panel_integral(N: int, eps_v: mpf, ctx: PrecisionContext) -> mpf:
+    """Tanh-sinh quadrature over panels of length 3 on [0, T], with the
+    envelope tail D/(N T^N) (D = prod (2k+1)) below eps/2.  Valid for every
+    N, so it checks the closed form too.  More than _PANEL_CAP panels raise
+    ConvergenceError before any quadrature.
+    """
+    D = _odd_double_factorial(N)
+    log_t = (math.log10(2 * D) - math.log10(N) - float(mpmath.log10(eps_v))) / N
     panel_len = 3
+    T = int(math.ceil(10 ** min(log_t, 18))) + 1  # 10^18 is far past the cap
     n_panels = (T + panel_len - 1) // panel_len
+    if n_panels > _PANEL_CAP:
+        raise ConvergenceError(
+            f"the sinc integral for N={N} at eps={mpmath.nstr(eps_v, 3)} runs to T ~ 10^{log_t:.1f}: "
+            f"more than {_PANEL_CAP} quadrature panels"
+        )
+
+    def f(x: mpf) -> mpf:
+        prod = mpf(1)
+        for k in range(N + 1):
+            arg = x / (2 * k + 1)
+            if arg:
+                prod *= mpmath.sin(arg) / arg
+        return prod
+
     panel_eps = eps_v / (4 * n_panels)
     acc = mpf(0)
     for i in range(n_panels):
@@ -351,39 +369,14 @@ def sinc_integral(N: int, eps, ctx: PrecisionContext) -> BigReal:
             raise ConvergenceError(f"panel [{lo},{hi}] of the sinc integral did not converge")
         with mp.workprec(ctx.bits + 32):
             acc += res.value.value
-    if exact_tail:
-        tail = _expansion_tail(N, T, ctx)
-        with mp.workprec(ctx.bits + 32):
-            acc = +(acc + tail)
-    return make_real(acc, ctx)
-
-
-def _expansion_tail(N: int, T: int, ctx: PrecisionContext) -> mpf:
-    """Exact int_T^inf of the product via the trigonometric expansion."""
-    terms, constant = _expansion(N)
-    s = N + 1
-    D = _odd_double_factorial(N)
-    # the by-parts recurrence cancels ~ (omega*T)^{s-1} per component
-    vmax = 3.0 * T
-    wp = ctx.bits + 96 + int(s * math.log2(max(4.0, vmax)))
-    with mp.workprec(wp):
-        Tm = mpf(T)
-        acc = mpf(0)
-        for (kind, freq), coeff in sorted(terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            w = _frac_to_mpf(freq)
-            v = w * Tm
-            I, J = _tail_integral_pair(v, s)
-            piece = I if kind == "cos" else J
-            acc += _frac_to_mpf(coeff) * w ** (s - 1) * piece
-        if constant:
-            acc += _frac_to_mpf(constant) / ((s - 1) * Tm ** (s - 1))
-        return +(D * acc)
+    return acc
 
 
 def identity_report(N: int, eps, ctx: PrecisionContext) -> SincIdentityReport:
     """Evaluate both sides and package the comparison."""
-    lhs = sinc_sum(N, eps, ctx)
+    # the integral first: past EXPANSION_LIMIT its panel cap fails fast
     rhs = sinc_integral(N, eps, ctx)
+    lhs = sinc_sum(N, eps, ctx)
     with mp.workprec(ctx.bits + 16):
         diff = +(lhs.value - rhs.value)
         rounding = mpmath.ldexp(max(1, abs(lhs.value)), -(ctx.bits - 8))

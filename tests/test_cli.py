@@ -339,6 +339,15 @@ class TestSinc:
         assert "lhs = 1.5707963267949" in out
         assert "truncation_bound = " in out
 
+    def test_integral_past_the_panel_cap_fails_fast(self, capsys):
+        # N = 13 at 40 digits needs T ~ 2e4, about 7400 panels (minutes)
+        start = time.monotonic()
+        assert run(["sinc", "--N", "13", "--digits", "40"]) == 1
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "panels" in captured.err
+        assert captured.out == ""
+
 
 class TestPiCsv:
     def test_iteration_error_table(self, capsys):
@@ -460,12 +469,12 @@ GOLDEN_STDOUT = [
         'N = 1\n'
         'lhs = 1.57079632679\n'
         'rhs = 1.57079632679\n'
-        'difference = -4.74e-27\n'
+        'difference = -5.05e-52\n'
         'truncation_bound = 1.00e-15\n'
     ),
     (
         'sinc --N 1 --digits 12 --format json',
-        '{"N":1,"difference":"-4.74e-27","lhs":"1.57079632679"'
+        '{"N":1,"difference":"-5.05e-52","lhs":"1.57079632679"'
         ',"rhs":"1.57079632679","truncation_bound":"1.00e-15"}\n'
     ),
     (
@@ -473,7 +482,7 @@ GOLDEN_STDOUT = [
         'N,1\n'
         'lhs,1.57079632679\n'
         'rhs,1.57079632679\n'
-        'difference,-4.74e-27\n'
+        'difference,-5.05e-52\n'
         'truncation_bound,1.00e-15\n'
     ),
     ('threshold --threshold 4/3 --format text', '2\n'),

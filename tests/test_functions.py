@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -250,6 +251,28 @@ class TestHyp2F1:
         # sum to relative accuracy
         with pytest.raises(PrecisionError):
             functions.hyp2f1(-1, 2, 1, Fraction(1, 2), PrecisionContext.from_digits(30))
+
+    @pytest.mark.parametrize("digits", [15, 60])
+    def test_negative_z_sums_the_pfaff_series(self, digits):
+        # summed in z itself the terms peak near 2^336 above this sum and
+        # took about 0.5 s; in w = z/(z-1) = 0.487 the peak is 2^52
+        start = time.monotonic()
+        self._check_against_library(30, 30, Fraction(1, 16), Fraction(-243, 256), digits)
+        assert time.monotonic() - start < 0.2
+
+    def test_pfaff_route_with_nonnegative_parameters(self):
+        # a = 1/2 and c - b = 1/2: the transformed series has no sign changes
+        self._check_against_library(Fraction(1, 2), Fraction(1, 2), 1, Fraction(-15, 16), 40)
+
+    def test_near_one_still_sums(self):
+        self._check_against_library(Fraction(1, 2), Fraction(1, 2), 1, Fraction(999, 1000), 30)
+
+    def test_too_close_to_one_fails_fast(self):
+        # about 9.5e5 terms: 18 s of summing before the cap
+        start = time.monotonic()
+        with pytest.raises(ConvergenceError, match="too close to 1"):
+            functions.hyp2f1((1, 2), (1, 2), 1, Fraction(9999, 10000), PrecisionContext.from_digits(30))
+        assert time.monotonic() - start < 0.5
 
     @staticmethod
     def _check_against_library(a, b, c, z, digits):

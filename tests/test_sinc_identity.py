@@ -1,14 +1,21 @@
 """Products of shifted sinc factors: sum/integral agreement and thresholds."""
 
+import itertools
+import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
-from expmath import functions, sinc_identity
+import expmath
+from expmath import functions, quadrature, sinc_identity
 from expmath.precision import (
     ConvergenceError,
     DomainError,
@@ -123,6 +130,93 @@ class TestRoutes:
         fine = sinc_identity.sinc_sum(4, eps / 10, ctx)
         with mp.workprec(ctx.bits + 16):
             assert abs(coarse.value - fine.value) < eps
+
+
+def _sign_sum_ratio(N):
+    """r with integral = r*pi, straight from Borwein's formula: every sign
+    pattern, rational frequencies, no integer scaling or symmetry."""
+    a = [Fraction(1, 2 * k + 1) for k in range(N + 1)]
+    m = len(a)
+    total = Fraction(0)
+    for gamma in itertools.product((1, -1), repeat=m):
+        b = sum(g * ak for g, ak in zip(gamma, a))
+        sign = (b > 0) - (b < 0)
+        total += math.prod(gamma) * sign * b ** (m - 1)
+    return total / (2 ** (m + 1) * math.factorial(m - 1) * math.prod(a))
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(quadrature, "integrate_finite", refuse)
+
+
+class TestClosedFormIntegral:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_exactly_half_through_six(self, N):
+        assert sinc_identity.sinc_integral_ratio(N) == Fraction(1, 2)
+
+    def test_n7_drops_by_the_exact_rational(self):
+        assert sinc_identity.sinc_integral_ratio(7) == Fraction(1, 2) - N7_DROP
+
+    @pytest.mark.parametrize("N", [1, 7, 8])
+    def test_matches_the_unscaled_formula(self, N):
+        assert sinc_identity.sinc_integral_ratio(N) == _sign_sum_ratio(N)
+
+    @pytest.mark.parametrize("N", [0, sinc_identity.EXPANSION_LIMIT + 1])
+    def test_ratio_outside_the_expansion_range(self, N):
+        with pytest.raises(DomainError):
+            sinc_identity.sinc_integral_ratio(N)
+
+    def test_matches_the_sum_side(self):
+        # the sum's product-to-sum expansion shares no code with the sign sum
+        ctx = PrecisionContext.from_digits(50)
+        for N in range(1, sinc_identity.EXPANSION_LIMIT + 1):
+            s = sinc_identity.sinc_sum(N, mpf(10) ** -48, ctx)
+            i = sinc_identity.sinc_integral(N, mpf(10) ** -48, ctx)
+            with mp.workprec(ctx.bits + 16):
+                assert abs(s.value - i.value) < mpf(10) ** -45, N
+
+    def test_makes_no_quadrature_call(self, no_quadrature):
+        ctx = PrecisionContext.from_digits(30)
+        for N in range(1, sinc_identity.EXPANSION_LIMIT + 1):
+            sinc_identity.sinc_integral(N, mpf(10) ** -25, ctx)
+
+    @pytest.mark.parametrize("N, eps_exp", [(6, 8), (7, 10), (8, 12), (13, 12)])
+    def test_panel_route_agrees(self, N, eps_exp):
+        ctx = PrecisionContext.from_digits(30)
+        eps = mpf(10) ** -eps_exp
+        panels = sinc_identity._panel_integral(N, eps, ctx)
+        r = _sign_sum_ratio(N)
+        with mp.workprec(ctx.bits + 16):
+            assert abs(panels - mpmath.pi * r.numerator / r.denominator) < eps
+
+    def test_panel_route_refuses_past_its_cap(self, no_quadrature):
+        ctx = PrecisionContext.from_digits(45)
+        start = time.monotonic()
+        for eps in (mpf(10) ** -43, mpf(10) ** -10000):
+            with pytest.raises(ConvergenceError, match="panels"):
+                sinc_identity.sinc_integral(13, eps, ctx)
+        assert time.monotonic() - start < 0.5
+
+
+class TestBreakdownDemo:
+    def test_runs_and_shows_equal_drops_at_seven(self):
+        src = Path(expmath.__file__).resolve().parent.parent
+        demo = src.parent / "demos" / "sinc_identity_breakdown.py"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
+        # the panelled integrals made this a 4 s run; import is most of it now
+        assert time.monotonic() - start < 2.0
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.decode()
+        row = next(line.split() for line in out.splitlines() if line.startswith("7 "))
+        assert row[1] == row[2] and row[1].startswith("-2.3") and row[1].endswith("e-11")
+        assert str(Fraction(1, 2) - N7_DROP) in out
 
 
 class TestReports:
