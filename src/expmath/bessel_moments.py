@@ -5,7 +5,8 @@ These one-dimensional moments equal the n-fold lattice-style integrals
     C_n = (4/n!) int_0^inf ... int_0^inf (sum_j (u_j + 1/u_j))^{-2} du_1/u_1 ... du_n/u_n,
 
 a reduction this module exploits computationally; the n-fold form is kept
-only as a two-dimensional consistency oracle (`c2_double_integral`).  The
+only as a consistency oracle for n = 2 (`c2_double_integral`), whose inner
+integral has a closed form in cosh and sinh, so no K0 enters it.  The
 sequence decreases monotonically from C_1 = 2 toward the limit 2 e^{-2 gamma}.
 
 For large n the integrand t K0^n(t) underflows any fixed-exponent window long
@@ -18,8 +19,8 @@ skip far-tail nodes without evaluating them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
@@ -32,20 +33,12 @@ from .precision import (
     make_real,
 )
 
-#: ln K0 memo shared across integrals and across n, keyed by the exact
-#: binary argument and working precision.
-_LOG_K0_CACHE: dict = {}
-_LOG_K0_CACHE_LIMIT = 400_000
 
-
-def _log_k0_cached(t: mpf, prec: int) -> mpf:
-    key = (t._mpf_, prec)
-    hit = _LOG_K0_CACHE.get(key)
-    if hit is None:
-        hit = functions._log_k0_raw(t, prec)
-        if len(_LOG_K0_CACHE) < _LOG_K0_CACHE_LIMIT:
-            _LOG_K0_CACHE[key] = hit
-    return hit
+@lru_cache(maxsize=400_000)
+def _log_k0_cached(t_mpf: tuple, prec: int) -> mpf:
+    """ln K0 shared across integrals and across n, keyed by the exact binary
+    argument (an mpf's raw tuple) and the working precision."""
+    return functions._log_k0_raw(mpf(t_mpf), prec)
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
         exp_floor = -(mpf(prec) * ln2 + 64)
 
         def integrand(t: mpf) -> mpf:
-            arg = prefactor + mpmath.ln(t) + n * _log_k0_cached(t, prec)
+            arg = prefactor + mpmath.ln(t) + n * _log_k0_cached(t._mpf_, prec)
             if arg < exp_floor:
                 return mpf(0)
             return mpmath.exp(arg)
@@ -134,18 +127,17 @@ def find_monotonicity_violations(records) -> list:
     return out
 
 
-#: cosh memo for the 2-D oracle's inner integrand.
-_COSH_CACHE: dict = {}
+def _c2_inner(s: mpf) -> mpf:
+    """int_0^inf (cosh s + cosh u)^{-2} du = (s coth s - 1) / sinh^2 s.
 
-
-def _cosh_cached(s: mpf, prec: int) -> mpf:
-    key = (s._mpf_, prec)
-    hit = _COSH_CACHE.get(key)
-    if hit is None:
-        hit = mpmath.cosh(s)
-        if len(_COSH_CACHE) < _LOG_K0_CACHE_LIMIT:
-            _COSH_CACHE[key] = hit
-    return hit
+    This is -d/dc [arccosh(c) / sqrt(c^2 - 1)] at c = cosh s.  Near s = 0
+    the numerator cancels to about s^2/3, so it is formed 2 log2(1/s) bits
+    wider than the working precision.
+    """
+    with mp.workprec(mp.prec + max(0, -2 * mpmath.mag(s))):
+        sh = mpmath.sinh(s)
+        v = (s * mpmath.cosh(s) / sh - 1) / sh ** 2
+    return +v
 
 
 def c2_double_integral(ctx: PrecisionContext, eps=None) -> BigReal:
@@ -154,32 +146,18 @@ def c2_double_integral(ctx: PrecisionContext, eps=None) -> BigReal:
     Substituting u_j = e^{s_j} in the defining integral and folding the
     fourfold even symmetry gives
 
-        C_2 = 2 int_0^inf int_0^inf (cosh s1 + cosh s2)^{-2} ds1 ds2,
+        C_2 = 2 int_0^inf int_0^inf (cosh s1 + cosh s2)^{-2} ds1 ds2.
 
-    evaluated as nested one-dimensional quadratures.  Serves as the
+    The inner integral is done in closed form (`_c2_inner`), leaving one
+    exp-sinh quadrature of 2 (s coth s - 1) / sinh^2 s.  Serves as the
     independent consistency oracle for c_n(2).
     """
-    prec = ctx.bits + 16
-    with mp.workprec(prec):
-        eps_v = _default_eps(ctx) if eps is None else mpf(eps)
-        inner_eps = eps_v / 64
-
-    def outer(s1: mpf) -> mpf:
-        c1 = _cosh_cached(s1, prec)
-
-        def inner(s2: mpf) -> mpf:
-            c2 = _cosh_cached(s2, prec)
-            return 1 / (c1 + c2) ** 2
-
-        res = quadrature.integrate_semi_infinite(inner, 0, inner_eps, ctx)
-        if not res.converged:
-            raise ConvergenceError("inner integral of the 2-D oracle did not converge")
-        return res.value.value
-
-    result = quadrature.integrate_semi_infinite(outer, 0, eps_v, ctx)
+    with mp.workprec(ctx.bits + 16):
+        # the quadrature's value is doubled, so it gets half the tolerance
+        eps_v = (_default_eps(ctx) if eps is None else mpf(eps)) / 2
+    result = quadrature.integrate_semi_infinite(_c2_inner, 0, eps_v, ctx)
     if not result.converged:
-        raise ConvergenceError("outer integral of the 2-D oracle did not converge")
-    with mp.workprec(prec):
+        raise ConvergenceError("the 2-D oracle's quadrature did not converge")
+    with mp.workprec(ctx.bits + 16):
         v = +(2 * result.value.value)
     return make_real(v, ctx)
-

@@ -75,10 +75,10 @@ class SincIdentityReport:
 
 def sinc(x, ctx: PrecisionContext | None = None) -> BigReal:
     """sin(x)/x extended continuously by sinc(0) = 1."""
-    bits = ctx.bits if ctx is not None else None
-    if bits is None:
-        bits = x.computed_at_bits if isinstance(x, BigReal) else 113
-    xv = x.value if isinstance(x, BigReal) else as_mpf(x, PrecisionContext(max(64, bits), 15))
+    if ctx is None and not isinstance(x, BigReal):
+        ctx = PrecisionContext(113, 15)
+    bits = ctx.bits if ctx is not None else x.computed_at_bits
+    xv = x.value if isinstance(x, BigReal) else as_mpf(x, ctx)
     with mp.workprec(bits + 8):
         if xv == 0:
             v = mpf(1)
@@ -103,10 +103,11 @@ def sinc(x, ctx: PrecisionContext | None = None) -> BigReal:
 def _expansion(N: int):
     """Exact expansion of prod_{k=0}^{N} sin(x/(2k+1)).
 
-    Returns (terms, constant) where terms maps (kind, frequency: Fraction)
-    to a Fraction coefficient, kind is 'cos' or 'sin', and constant is the
-    coefficient of 1 (arising from any zero frequency).  Built by repeated
-    product-to-sum rewriting; all arithmetic exact.
+    Returns (terms, constant) where terms is a tuple of ((kind, frequency:
+    Fraction), Fraction coefficient) pairs sorted by (frequency, kind), kind
+    is 'cos' or 'sin', and constant is the coefficient of 1 (arising from any
+    zero frequency).  Built by repeated product-to-sum rewriting; all
+    arithmetic exact.
     """
     terms = {("sin", Fraction(1)): Fraction(1)}
     constant = Fraction(0)
@@ -140,7 +141,7 @@ def _expansion(N: int):
             new[key] = new.get(key, Fraction(0)) + constant
         terms = {key: val for key, val in new.items() if val != 0}
         constant = new_constant
-    return terms, constant
+    return tuple(sorted(terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))), constant
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -185,32 +186,26 @@ def _bernoulli_number(m: int) -> Fraction:
     return _even_bernoulli_numbers(m // 2 + 1)[m // 2]
 
 
-def _bernoulli_poly(s: int, x: mpf) -> mpf:
-    acc = mpf(0)
-    for j in range(s + 1):
-        c = Fraction(math.comb(s, j)) * _bernoulli_number(j)
-        acc += mpf(c.numerator) / c.denominator * x ** (s - j)
-    return acc
+def _fourier_power_series(s: int):
+    """theta -> sum_{n>=1} cos(n theta)/n^s (s even) or sin(n theta)/n^s (s odd).
 
-
-def _fourier_power_series(kind: str, s: int, theta: mpf) -> mpf:
-    """sum_{n>=1} cos(n theta)/n^s (s even) or sin(n theta)/n^s (s odd).
-
-    Valid for theta in [0, 2*pi]; closed Bernoulli-polynomial forms.
+    Valid for s >= 2 and theta in [0, 2*pi], through the closed form
+    +-(2 pi)^s / (2 s!) B_s(theta / (2 pi)).  Everything that depends on s
+    alone is built once, at the caller's precision.
     """
-    if kind == "cos":
-        if s % 2 != 0 or s < 2:
-            raise ValueError("cosine series needs even s >= 2")
-        sign = -1 if (1 + s // 2) % 2 else 1
-    else:
-        if s % 2 != 1 or s < 1:
-            raise ValueError("sine series needs odd s >= 1")
-        if s == 1:
-            return (mpmath.pi - theta) / 2
-        sign = -1 if ((s + 1) // 2) % 2 else 1
+    sign = -1 if (s // 2 + 1) % 2 else 1
     two_pi = 2 * mpmath.pi
-    x = theta / two_pi
-    return sign * two_pi ** s / (2 * mpmath.factorial(s)) * _bernoulli_poly(s, x)
+    scale = sign * two_pi ** s / (2 * mpmath.factorial(s))
+    coeffs = [_frac_to_mpf(Fraction(math.comb(s, j)) * _bernoulli_number(j)) for j in range(s + 1)]
+
+    def series(theta: mpf) -> mpf:
+        x = theta / two_pi
+        acc = mpf(0)
+        for j, c in enumerate(coeffs):
+            acc += c * x ** (s - j)
+        return scale * acc
+
+    return series
 
 
 def _odd_double_factorial(N: int) -> int:
@@ -239,12 +234,13 @@ def sinc_sum(N: int, eps, ctx: PrecisionContext) -> BigReal:
         D = _odd_double_factorial(N)
         wp = ctx.bits + 96
         with mp.workprec(wp):
+            # every term has the kind fixed by the parity of s
+            series = _fourier_power_series(s)
             acc = mpf(0)
-            for (kind, freq), coeff in sorted(terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-                theta = _frac_to_mpf(freq)
-                acc += _frac_to_mpf(coeff) * _fourier_power_series(kind, s, theta)
+            for (_kind, freq), coeff in terms:
+                acc += _frac_to_mpf(coeff) * series(_frac_to_mpf(freq))
             if constant:
-                acc += _frac_to_mpf(constant) * _fourier_power_series("cos", s, mpf(0))
+                acc += _frac_to_mpf(constant) * series(mpf(0))
             total = +(mpf(1) / 2 + D * acc)
         return make_real(total, ctx)
     value, _bound = _direct_sum(N, eps, ctx)

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from expmath import bessel_moments, functions
+from expmath import bessel_moments, functions, quadrature
 from expmath.precision import PrecisionContext, parse_decimal
 
 # 2 e^{-2 gamma} to 50 places, frozen from an independent high-precision
@@ -130,13 +130,47 @@ class TestMonotonicity:
 
 
 class TestTwoDimensionalOracle:
-    def test_agrees_with_one_dimensional_route(self):
-        ctx = PrecisionContext.from_digits(30)
-        direct = bessel_moments.c2_double_integral(ctx, eps=mpf(10) ** -22)
-        reduced = bessel_moments.c_n(2, ctx, eps=mpf(10) ** -24)
+    @pytest.mark.parametrize("digits, tol_exp", [(30, 20), (60, 50)])
+    def test_agrees_with_one_dimensional_route(self, digits, tol_exp):
+        ctx = PrecisionContext.from_digits(digits)
+        direct = bessel_moments.c2_double_integral(ctx, eps=mpf(10) ** -(tol_exp + 2))
+        reduced = bessel_moments.c_n(2, ctx, eps=mpf(10) ** -(tol_exp + 4))
         with mp.workprec(ctx.bits + 16):
-            assert abs(direct.value - reduced.value.value) < mpf(10) ** -20
-            assert abs(direct.value - 1) < mpf(10) ** -20
+            assert abs(direct.value - reduced.value.value) < mpf(10) ** -tol_exp
+            assert abs(direct.value - 1) < mpf(10) ** -tol_exp
+
+    @pytest.mark.parametrize("s", ["1e-30", "1e-3", "0.5", "2", "20"])
+    def test_inner_integral_closed_form(self, s):
+        # (s coth s - 1)/sinh^2 s against quadrature of its defining
+        # integrand; at s = 1e-30 the numerator cancels in ~200 bits
+        ctx = PrecisionContext.from_digits(30)
+        with mp.workprec(ctx.bits + 16):
+            sv = mpf(s)
+            c = mpmath.cosh(sv)
+            closed = bessel_moments._c2_inner(sv)
+            scale = 1 / (c + 1) ** 2  # the integrand at u = 0
+        ref = quadrature.integrate_semi_infinite(
+            lambda u: 1 / (c + mpmath.cosh(u)) ** 2, 0, scale * mpf(10) ** -28, ctx
+        )
+        assert ref.converged
+        with mp.workprec(ctx.bits + 16):
+            assert abs(closed - ref.value.value) < scale * mpf(10) ** -26
+
+
+class TestLogK0Memo:
+    def test_repeated_moment_recomputes_no_log_k0(self, monkeypatch):
+        ctx = PrecisionContext.from_digits(30)
+        first = bessel_moments.c_n(3, ctx)
+
+        def refuse(t, prec):
+            raise AssertionError("ln K0 recomputed")
+
+        monkeypatch.setattr(functions, "_log_k0_raw", refuse)
+        assert bessel_moments.c_n(3, ctx) == first
+
+    def test_memo_is_bounded(self):
+        maxsize = bessel_moments._log_k0_cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 class TestRecordValidation:

@@ -68,6 +68,13 @@ class TestSincFunction:
         with mp.workprec(ctx.bits):
             assert abs(got) < mpf(10) ** -37
 
+    def test_plain_number_under_a_narrow_context(self):
+        # a valid 64-bit context used to fail converting x through an
+        # internal 15-digit context that 64 bits cannot carry
+        got = sinc_identity.sinc(1, PrecisionContext(64, 1))
+        assert got.computed_at_bits == 64
+        assert abs(got.value - mpmath.sin(1)) < mpf(10) ** -15
+
 
 class TestPiOverTwoRange:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
@@ -130,6 +137,15 @@ class TestRoutes:
         fine = sinc_identity.sinc_sum(4, eps / 10, ctx)
         with mp.workprec(ctx.bits + 16):
             assert abs(coarse.value - fine.value) < eps
+
+    def test_closed_form_builds_bernoulli_coefficients_once(self, monkeypatch):
+        # the degree-13 Bernoulli polynomial's coefficients depend on s = 13
+        # alone, not on which of the 2^12 frequencies is being summed
+        calls = []
+        real = sinc_identity._bernoulli_number
+        monkeypatch.setattr(sinc_identity, "_bernoulli_number", lambda m: calls.append(m) or real(m))
+        sinc_identity.sinc_sum(12, mpf(10) ** -20, PrecisionContext.from_digits(30))
+        assert len(calls) <= 14
 
 
 def _sign_sum_ratio(N):
