@@ -15,15 +15,24 @@ exp(ln t + n ln K0(t)), with the constant prefactor folded in to keep the
 integrand O(1).  A decay certificate derived from the strict bound
 K0(t) < sqrt(pi/(2t)) e^{-t} (valid for t >= 2) lets the quadrature engine
 skip far-tail nodes without evaluating them.
+
+The integrand's mass sits where K0(t) is about n/2, near t = 2 e^{-gamma-n/2}
+(about 1e-33 at n = 152).  Once that is far enough below t = 1 for the
+exp-sinh sum's quiet-tail cut to stop before it, the quadrature runs in
+x = t / 2^k instead, with the exact power of two 2^k chosen to put the peak
+at x in [1, 2) (Takahasi and Mori, Publ. RIMS 9 (1974) 721).  Smaller n keep
+k = 0, so their nodes and ln K0 values stay shared across n and tolerances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_shift
 
 from . import functions, quadrature
 from .precision import (
@@ -64,9 +73,41 @@ def _default_eps(ctx: PrecisionContext) -> mpf:
         return mpf(10) ** (-min(25, ctx.target_digits - 5))
 
 
+def _shift_exponent(n: int, eps: mpf) -> int:
+    """The k of the substitution t = 2^k x that c_n integrates under.
+
+    In u = ln(1/t) the integrand t^2 K0(t)^n is close to the Gamma bump
+    e^{-2u} (u + ln 2 - gamma)^n, which peaks where K0(t) = n/2, at
+    u_peak = n/2 + gamma - ln 2, and is sqrt(n+1)/2 wide.  The exp-sinh
+    sum's quiet-tail cut can first fire at u_c = (pi/2) sinh 2, where the
+    map's own parameter reaches 2.  When the peak lies beyond u_c and the
+    weighted integrand there is below the finest level's cut floor, the
+    cut could stop before the mass; then k = floor(-u_peak / ln 2) puts
+    the peak at x in [1, 2).  Otherwise k = 0, so the nodes and the ln K0
+    memo stay shared across n and tolerances.
+    """
+    gamma = 0.5772156649015329
+    ln2 = math.log(2)
+    u_peak = n / 2 + gamma - ln2
+    u_c = (math.pi / 2) * math.sinh(2)
+    if u_peak <= u_c:
+        return 0
+    log_weighted = (
+        n * ln2 - math.lgamma(n + 1) - 2 * u_c + n * math.log(u_c + ln2 - gamma)
+        + math.log((math.pi / 2) * math.cosh(2))
+    )
+    with mp.workprec(53):
+        floor = float(mpmath.ln(eps / 16)) + quadrature.DEFAULT_MAX_LEVEL * ln2
+    if log_weighted >= floor:
+        return 0
+    return math.floor(-u_peak / ln2)
+
+
 def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
     """One Bessel moment C_n to absolute accuracy eps.
 
+    For large n the quadrature runs in x = t / 2^k (see `_shift_exponent`),
+    with the exact power of two folded into the log-space prefactor.
     Raises ConvergenceError if the quadrature cannot reach eps within its
     level budget at this context's precision.
     """
@@ -75,27 +116,37 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
     prec = ctx.bits + 16
     with mp.workprec(prec):
         eps_v = _default_eps(ctx) if eps is None else mpf(eps)
+        k = _shift_exponent(n, eps_v)
         ln2 = mpmath.ln(2)
-        prefactor = n * ln2 - mpmath.loggamma(n + 1)
+        # t dt = 2^{2k} x dx
+        prefactor = (n + 2 * k) * ln2 - mpmath.loggamma(n + 1)
         half_log = mpmath.ln(mpmath.pi) / 2
-        exp_floor = -(mpf(prec) * ln2 + 64)
+        # below the certificate x reaches 2^{1-k} and a node's weight is
+        # about x, so the floor on ln f sits -k ln 2 lower
+        exp_floor = (k - prec) * ln2 - 64
 
-        def integrand(t: mpf) -> mpf:
-            arg = prefactor + mpmath.ln(t) + n * _log_k0_cached(t._mpf_, prec)
+        def integrand(x: mpf) -> mpf:
+            # the memo key is t = 2^k x, shifted exactly
+            t_key = mpf_shift(x._mpf_, k)
+            arg = prefactor + mpmath.ln(x) + n * _log_k0_cached(t_key, prec)
             if arg < exp_floor:
                 return mpf(0)
             return mpmath.exp(arg)
 
-        def log_bound(t: mpf) -> mpf:
+        def log_bound(x: mpf) -> mpf:
             # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail bracket)
-            return prefactor + mpmath.ln(t) + n * (half_log - mpmath.ln(2 * t) / 2 - t)
+            t = mpmath.ldexp(x, k)
+            return prefactor + mpmath.ln(x) + n * (half_log - mpmath.ln(2 * t) / 2 - t)
 
-    certificate = quadrature.DecayCertificate(beyond=2.0, log_bound=log_bound)
+        # t >= 2 is x >= 2^{1-k}: an mpf, since a float overflows once k < -1023
+        certificate = quadrature.DecayCertificate(
+            beyond=mpmath.ldexp(1, 1 - k), log_bound=log_bound
+        )
     result = quadrature.integrate_semi_infinite(integrand, 0, eps_v, ctx, certificate)
     if not result.converged:
         raise ConvergenceError(
             f"C_{n} quadrature did not reach eps={mpmath.nstr(eps_v, 4)} "
-            f"(best estimate {mpmath.nstr(result.error_estimate.value, 4)})"
+            f"(last level difference {mpmath.nstr(result.error_estimate.value, 4)})"
         )
     return CnRecord(n=n, value=result.value, error_estimate=result.error_estimate)
 

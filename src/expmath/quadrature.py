@@ -74,7 +74,7 @@ class DecayCertificate:
     evaluated nodes that exceed the bound raise TailBoundError.
     """
 
-    beyond: float
+    beyond: float | mpf
     log_bound: Callable[[mpf], mpf]
 
 

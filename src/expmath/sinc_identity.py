@@ -201,8 +201,8 @@ def _fourier_power_series(s: int):
     def series(theta: mpf) -> mpf:
         x = theta / two_pi
         acc = mpf(0)
-        for j, c in enumerate(coeffs):
-            acc += c * x ** (s - j)
+        for c in coeffs:  # Horner's rule, highest power first
+            acc = acc * x + c
         return scale * acc
 
     return series

@@ -1,11 +1,12 @@
-"""Moments of powers of K_0: known values, monotone decrease, 2-D oracle."""
+"""Moments of powers of K_0: known values, monotone decrease, large n, 2-D oracle."""
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from expmath import bessel_moments, functions, quadrature
-from expmath.precision import PrecisionContext, parse_decimal
+from expmath.precision import ConvergenceError, PrecisionContext, parse_decimal
 
 # 2 e^{-2 gamma} to 50 places, frozen from an independent high-precision
 # evaluation of gamma (Brent-McMillan) cross-checked against mpmath.euler.
@@ -127,6 +128,132 @@ class TestMonotonicity:
         ctx = PrecisionContext.from_digits(30)
         with pytest.raises(ValueError):
             bessel_moments.monotonicity_scan(1, ctx)
+
+
+def _library_moment(n: int) -> mpf:
+    """C_n from mpmath's own Bessel function and integrator, never expmath.
+
+    In u = ln(1/t) the integrand is e^{-2u} K0(e^{-u})^n, a bump that peaks
+    near u_peak = n/2 + gamma - ln 2 and is sqrt(n+1)/2 wide.  For n >= 80
+    everything below u = 0 (t > 1, where K0^n < 0.43^n) is far under 1e-40
+    of the total, so the range runs from 0 to 16 widths plus 40 past the
+    peak, split at the peak and at 2 and 6 widths either side of it.
+    Gauss-Legendre up to degree 5 agrees there with mpmath's default
+    tanh-sinh to 34 digits.
+    """
+    with mp.workdps(34):
+        u_peak = mpf(n) / 2 + mpmath.euler - mpmath.ln(2)
+        w = mpmath.sqrt(n + 1) / 2
+        points = [0, u_peak - 6 * w, u_peak - 2 * w, u_peak, u_peak + 2 * w,
+                  u_peak + 6 * w, u_peak + 16 * w + 40]
+        v = mpmath.quad(
+            lambda u: mpmath.exp(-2 * u) * mpmath.besselk(0, mpmath.exp(-u)) ** n,
+            points, method="gauss-legendre", maxdegree=5,
+        )
+        return +(2 ** n * v / mpmath.factorial(n))
+
+
+class TestLargeN:
+    """The integrand's mass sits where K0(t) = n/2, at t near 2e^{-gamma-n/2};
+    c_n moves it onto x near 1 with t = 2^k x when the exp-sinh tail cut
+    could otherwise stop before the peak."""
+
+    LARGE = (80, 128, 256, 512)
+
+    @pytest.fixture(scope="class")
+    def large_records(self):
+        ctx = PrecisionContext.from_digits(30)
+        return [bessel_moments.c_n(n, ctx) for n in self.LARGE]
+
+    @pytest.mark.parametrize("n", LARGE)
+    def test_matches_library_reference(self, large_records, n):
+        rec = large_records[self.LARGE.index(n)]
+        ref = _library_moment(n)
+        with mp.workprec(160):
+            assert abs(rec.value.value - ref) < rec.error_estimate.value + mpf(10) ** -25
+
+    def test_monotone_toward_limit_within_error_bars(self, large_records):
+        ctx = PrecisionContext.from_digits(30)
+        limit = bessel_moments.c_infinity(ctx).value
+        eps = bessel_moments._default_eps(ctx)
+        with mp.workprec(ctx.bits + 16):
+            bars = [r.error_estimate.value + eps for r in large_records]
+            values = [r.value.value for r in large_records]
+            for (a, bar_a), (b, bar_b) in zip(zip(values, bars), zip(values[1:], bars[1:])):
+                assert b - a <= bar_a + bar_b  # no resolved increase
+            for v, bar in zip(values, bars):
+                assert v > limit - bar
+            # C_80 - C_128 is about 6.9e-24, far above both error bars
+            assert values[0] - values[1] > bars[0] + bars[1]
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_far_past_the_limit_gap(self, n):
+        # C_n - C_inf < 1e-29 from n = 100 on, so C_inf is the reference.
+        # Here the plus-side nodes below the certificate reach x = 2^{1-k},
+        # far above 1, where a negligible-looking integrand value still
+        # carries a weight of about x.
+        ctx = PrecisionContext.from_digits(30)
+        rec = bessel_moments.c_n(n, ctx)
+        limit = bessel_moments.c_infinity(ctx).value
+        with mp.workprec(ctx.bits + 16):
+            assert abs(rec.value.value - limit) < rec.error_estimate.value + mpf(10) ** -25
+
+    @pytest.mark.parametrize("n", [48, 56, 64])
+    def test_fifteen_digits(self, n):
+        # without the shift each of these raised ConvergenceError
+        ctx = PrecisionContext.from_digits(15)
+        rec = bessel_moments.c_n(n, ctx)
+        limit = bessel_moments.c_infinity(ctx).value
+        with mp.workprec(ctx.bits + 16):
+            # C_n - C_inf < 2e-14 from n = 48 on
+            assert abs(rec.value.value - limit) < mpf(10) ** -10
+
+    def test_unshifted_range_keeps_memo_reuse(self, monkeypatch):
+        ctx = PrecisionContext.from_digits(30)
+        assert bessel_moments._shift_exponent(20, bessel_moments._default_eps(ctx)) == 0
+        raw = functions._log_k0_raw
+        calls = []
+
+        def counting(t, prec):
+            calls.append(t)
+            return raw(t, prec)
+
+        monkeypatch.setattr(functions, "_log_k0_raw", counting)
+        bessel_moments._log_k0_cached.cache_clear()
+        bessel_moments.c_n(20, ctx)
+        cold = len(calls)
+        bessel_moments._log_k0_cached.cache_clear()
+        bessel_moments.c_n(4, ctx)
+        del calls[:]
+        bessel_moments.c_n(20, ctx)
+        assert len(calls) < cold
+
+    def test_nonconvergence_reports_the_error_estimate_as_such(self, monkeypatch):
+        # one refinement level cannot reach 1e-25; the message must label the
+        # quadrature's error estimate for what it is, not as a value
+        real = quadrature.integrate_semi_infinite
+        seen = []
+
+        def one_level(*args, **kwargs):
+            seen.append(real(*args, max_level=1))
+            return seen[-1]
+
+        monkeypatch.setattr(quadrature, "integrate_semi_infinite", one_level)
+        with pytest.raises(ConvergenceError) as info:
+            bessel_moments.c_n(4, PrecisionContext.from_digits(30))
+        estimate = mpmath.nstr(seen[0].error_estimate.value, 4)
+        assert f"last level difference {estimate}" in str(info.value)
+        assert "best estimate" not in str(info.value)
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 600), digits=st.integers(15, 30))
+    def test_every_moment_lies_between_limit_and_two(self, n, digits):
+        ctx = PrecisionContext.from_digits(digits)
+        rec = bessel_moments.c_n(n, ctx)
+        limit = bessel_moments.c_infinity(ctx).value
+        with mp.workprec(ctx.bits + 16):
+            slack = rec.error_estimate.value + mpf(10) ** -(digits - 5)
+            assert limit - slack < rec.value.value <= 2
 
 
 class TestTwoDimensionalOracle:
