@@ -39,7 +39,7 @@ def main() -> None:
 
     print("\nnonconvex sanity check (Rosenbrock from (-1.2, 1)):")
     rosen = bb.bb_minimize(bb.rosenbrock(), [-1.2, 1.0], tol=1e-8,
-                           max_iter=5000, safeguard=bb.SafeguardConfig(enabled=True))
+                           max_iter=5000, safeguard=True)
     print(f"  converged={rosen.converged} in {rosen.iterations} iterations, "
           f"x = {np.round(rosen.x, 8).tolist()}")
 

@@ -14,7 +14,7 @@ from .precision import (
     TailBoundError,
     parse_decimal,
 )
-from .functions import bessel_k0, elementary, euler_gamma, hyp2f1, zeta3
+from .functions import bessel_k0, euler_gamma, hyp2f1, zeta3
 from .quadrature import (
     DecayCertificate,
     IntegralResult,
@@ -70,7 +70,6 @@ __all__ = [
     "zeta3",
     "bessel_k0",
     "hyp2f1",
-    "elementary",
     "DecayCertificate",
     "IntegralResult",
     "integrate_finite",

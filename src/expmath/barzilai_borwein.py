@@ -14,7 +14,7 @@ machine floats on purpose: this is an optimization method, not digit hunting.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,11 @@ class NonFiniteError(NumericsError):
 GAMMA_CLAMP = (1e-10, 1e10)
 
 _VARIANTS = ("bb1", "bb2")
+
+#: The safeguard compares a trial F with the worst of this many recent values
+#: and halves gamma at most this many times before giving up.
+_SAFEGUARD_MEMORY = 10
+_SAFEGUARD_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -61,13 +66,6 @@ class MinimizeResult:
     converged: bool
     trace: tuple  # rows (k, F, grad_norm, gamma)
     gammas: tuple
-
-
-@dataclass(frozen=True)
-class SafeguardConfig:
-    enabled: bool = True
-    memory: int = 10
-    max_halvings: int = 30
 
 
 def bb_step(s: np.ndarray, y: np.ndarray, variant: str = "bb2") -> float:
@@ -112,14 +110,14 @@ def bb_minimize(
     tol: float,
     max_iter: int = 10_000,
     variant: str = "bb2",
-    safeguard: SafeguardConfig | None = None,
+    safeguard: bool = False,
 ) -> MinimizeResult:
     """Gradient iteration x_{k+1} = x_k - gamma_k grad F(x_k).
 
     The first step bootstraps gamma_0 = 1/|grad| (clamped) since there is no
     previous point.  A degenerate denominator falls back to the other
-    variant, then to the previous gamma.  The optional safeguard rejects
-    steps whose F exceeds the worst of the last `memory` values, halving
+    variant, then to the previous gamma.  With `safeguard` on, steps whose
+    F exceeds the worst of the last few values are rejected by halving
     gamma - cheap and line-search-free.
     """
     variant = variant.lower()
@@ -127,8 +125,6 @@ def bb_minimize(
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if not 0 < tol < np.inf:  # also rejects nan
         raise DomainError("tol must be positive and finite")
-    if safeguard is None:
-        safeguard = SafeguardConfig(enabled=False)
 
     x = np.array(x0, dtype=float)
     if x.shape != (f.dimension,):
@@ -139,7 +135,7 @@ def bb_minimize(
     _check_finite("objective", fx)
 
     state = BBState(x_k=x, g_k=g, k=0, gamma_k=_initial_gamma(g))
-    recent = deque([fx], maxlen=max(1, safeguard.memory))
+    recent = deque([fx], maxlen=_SAFEGUARD_MEMORY)
     trace = [(0, fx, float(np.linalg.norm(g)), state.gamma_k)]
     gammas = []
 
@@ -167,11 +163,11 @@ def bb_minimize(
         gamma = state.gamma_k
         x_new = state.x_k - gamma * state.g_k
         f_new = float(f.evaluate(x_new))
-        if safeguard.enabled:
+        if safeguard:
             halvings = 0
             while (not np.isfinite(f_new)) or f_new > max(recent):
                 halvings += 1
-                if halvings > safeguard.max_halvings:
+                if halvings > _SAFEGUARD_HALVINGS:
                     raise DegenerateStepError(
                         "safeguard exhausted its halvings without an acceptable step"
                     )

@@ -388,7 +388,7 @@ def _cmd_bb(args):
         raise NumericsError(
             f"--x0 needs {problem.dimension} components for problem {args.problem}"
         )
-    safeguard = barzilai_borwein.SafeguardConfig(enabled=args.problem == "rosenbrock")
+    safeguard = args.problem == "rosenbrock"
     result = barzilai_borwein.bb_minimize(
         problem, x0, args.tol, max_iter=args.max_iter, variant=args.variant, safeguard=safeguard
     )

@@ -435,77 +435,9 @@ def hyp2f1(a, b, c, z, ctx: PrecisionContext) -> BigReal:
     return make_real(acc, ctx)
 
 
-def _unary(ctx: PrecisionContext, fn, x) -> BigReal:
-    xv = as_mpf(x, ctx)
-    with mp.workprec(ctx.bits + 8):
-        v = +fn(xv)
-    return make_real(v, ctx)
-
-
 def exp(x, ctx: PrecisionContext) -> BigReal:
-    return _unary(ctx, mpmath.exp, x)
-
-
-def ln(x, ctx: PrecisionContext) -> BigReal:
+    """e^x at 8 bits above the context's precision."""
     xv = as_mpf(x, ctx)
-    if not xv > 0:
-        raise DomainError("ln requires a positive argument")
-    return _unary(ctx, mpmath.ln, xv)
-
-
-def sqrt(x, ctx: PrecisionContext) -> BigReal:
-    xv = as_mpf(x, ctx)
-    if xv < 0:
-        raise DomainError("sqrt requires a nonnegative argument")
-    return _unary(ctx, mpmath.sqrt, xv)
-
-
-def sin(x, ctx: PrecisionContext) -> BigReal:
-    return _unary(ctx, mpmath.sin, x)
-
-
-def nthroot(x, n: int, ctx: PrecisionContext) -> BigReal:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("nthroot order must be a positive integer")
-    xv = as_mpf(x, ctx)
-    if xv < 0 and n % 2 == 0:
-        raise DomainError("even-order root of a negative number")
     with mp.workprec(ctx.bits + 8):
-        if xv < 0:
-            v = -mpmath.root(-xv, n)
-        else:
-            v = mpmath.root(xv, n)
-        v = +v
+        v = +mpmath.exp(xv)
     return make_real(v, ctx)
-
-
-def power(x, y, ctx: PrecisionContext) -> BigReal:
-    xv = as_mpf(x, ctx)
-    yv = as_mpf(y, ctx)
-    if xv < 0 and yv != mpmath.floor(yv):
-        raise DomainError("negative base requires an integer exponent")
-    if xv == 0 and yv < 0:
-        raise DomainError("zero cannot be raised to a negative power")
-    with mp.workprec(ctx.bits + 8):
-        v = +mpmath.power(xv, yv)
-    return make_real(v, ctx)
-
-
-def elementary(op: str, x, ctx: PrecisionContext, operand=None) -> BigReal:
-    """Dispatch on an operation name: exp, ln, sqrt, nthroot, sin, power.
-
-    `operand` supplies the root order for nthroot and the exponent for power.
-    """
-    if op in ("exp", "ln", "sqrt", "sin"):
-        if operand is not None:
-            raise DomainError(f"{op} takes a single operand")
-        return {"exp": exp, "ln": ln, "sqrt": sqrt, "sin": sin}[op](x, ctx)
-    if op == "nthroot":
-        if operand is None:
-            raise DomainError("nthroot needs a root order")
-        return nthroot(x, operand, ctx)
-    if op == "power":
-        if operand is None:
-            raise DomainError("power needs an exponent")
-        return power(x, operand, ctx)
-    raise DomainError(f"unknown elementary operation {op!r}")

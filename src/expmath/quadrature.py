@@ -7,13 +7,16 @@ endpoints double-exponentially fast.  Semi-infinite integrals use the
 companion map x = a + exp((pi/2) sinh t) over the whole real t-line.
 
 Levels halve the trapezoid step; level m reuses every evaluation from level
-m-1 (only odd multiples of the new step are fresh nodes).  Node positions are
-stored as distances from the nearest endpoint so that integrands like
-x^(-1/2) receive arguments accurate to full working precision arbitrarily
-close to the singularity.  Tails of each trapezoid sum are cut adaptively:
-a side stops once several consecutive node contributions fall below the
-tolerance, which is what makes endpoint singularities converge at the same
-rate as smooth integrands.
+m-1 (only odd multiples of the new step are fresh nodes).  Each map has one
+node table per working precision and level, built by one builder and read
+by one sweep; the only map-specific step is where a node lands.  Finite
+nodes are stored as distances from the nearer endpoint, so an integrand
+like x^(-1/2) on (0, b) receives arguments accurate to full working
+precision arbitrarily close to its singularity; the interval's centre and
+half-width are formed at that working precision too.  Tails of each
+trapezoid sum are cut adaptively: a sweep stops once several consecutive
+node pairs contribute below the tolerance, which is what makes endpoint
+singularities converge at the same rate as smooth integrands.
 
 All summation is sequential in a fixed node order, so results are exactly
 reproducible run to run.
@@ -21,7 +24,6 @@ reproducible run to run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,9 +41,9 @@ from .precision import (
 
 DEFAULT_MAX_LEVEL = 12
 
-#: Node tables keyed by (map kind, working precision, level); grown lazily and
-#: shared across integrals.  Entries are pure functions of the key, so the
-#: cache is observationally stateless.
+#: Node tables keyed by (map kind, working precision, level), shared across
+#: integrals.  A table grows only as far as some sweep has read it.  Entries
+#: are pure functions of the key, so the cache is observationally stateless.
 _NODE_CACHE: dict = {}
 
 
@@ -78,111 +80,45 @@ class DecayCertificate:
     log_bound: Callable[[mpf], mpf]
 
 
-def _ts_new_nodes(prec: int, level: int, count: int):
-    """At least `count` fresh tanh-sinh nodes for this level, as (d, w) pairs.
+def _nodes(kind: str, prec: int, level: int):
+    """Yield the (kind, prec, level) node table in ascending t, building
+    each node the first time any sweep reads it.
 
-    d is the distance 1 - |x| from the nearer endpoint, computed as
-    2/(e^{2a}+1) so it retains full relative precision however small; w is
-    the weight (pi/2) cosh t / cosh^2((pi/2) sinh t).  Nodes are for
-    ascending positive t; the engine mirrors them onto both endpoints.
-    Level 0 uses every multiple of h=1, deeper levels only odd multiples.
+    Level 0 uses t = 1, 2, ...; deeper levels only odd multiples of
+    h = 2^-level.  With a = (pi/2) sinh t a node is
+    - "ts" (x = tanh a): (d, w), d = 1 - |x| computed as 2/(e^{2a}+1) so it
+      keeps full relative precision however small, w = (pi/2) cosh t / cosh^2 a;
+      the sweep mirrors it onto both endpoints.
+    - "es" (x = e^a): (x, w, 1/x, w') for t and -t, the small abscissa kept
+      as the exponential itself for full relative precision near 0.
+    A table ends at None, once its nodes are past any resolvable tail.
     """
-    key = ("ts", prec, level)
-    nodes = _NODE_CACHE.setdefault(key, [])
-    if len(nodes) >= count:
-        return nodes
-    with mp.workprec(prec):
-        h = mpf(2) ** (-level)
-        half_pi = mpmath.pi / 2
-        d_floor = mpmath.ldexp(1, -int(6.5 * prec))
-        while len(nodes) < count:
-            if nodes and nodes[-1][0] == 0:
-                break  # tail exhausted at this precision
-            j = (2 * len(nodes) + 1) if level > 0 else (len(nodes) + 1)
-            t = j * h
-            et = mpmath.exp(t)
-            sinh_t = (et - 1 / et) / 2
-            cosh_t = (et + 1 / et) / 2
-            a = half_pi * sinh_t
-            e2a = mpmath.exp(2 * a)
-            d = 2 / (e2a + 1)
-            w = half_pi * cosh_t * 4 * e2a / (e2a + 1) ** 2
-            if d < d_floor:
-                d = mpf(0)  # sentinel: past the resolvable tail
-            nodes.append((d, w))
-    return nodes
-
-
-def _es_new_nodes(prec: int, level: int, count: int):
-    """Fresh exp-sinh nodes: pairs ((x_plus, w_plus), (x_minus, w_minus)).
-
-    x = exp((pi/2) sinh t) maps t <-> (0, inf); positive t runs to large x,
-    negative t to x near 0 (kept as the small exponential itself, again for
-    full relative precision near the finite endpoint).
-    """
-    key = ("es", prec, level)
-    nodes = _NODE_CACHE.setdefault(key, [])
-    if len(nodes) >= count:
-        return nodes
-    with mp.workprec(prec):
-        h = mpf(2) ** (-level)
-        half_pi = mpmath.pi / 2
-        a_cap = mpf(8 * prec) * mpmath.ln(2)
-        while len(nodes) < count:
-            if nodes and nodes[-1] is None:
-                break
-            j = (2 * len(nodes) + 1) if level > 0 else (len(nodes) + 1)
-            t = j * h
-            et = mpmath.exp(t)
-            sinh_t = (et - 1 / et) / 2
-            cosh_t = (et + 1 / et) / 2
-            a = half_pi * sinh_t
-            if a > a_cap:
-                nodes.append(None)  # sentinel: both tails past any useful range
-                break
-            ea = mpmath.exp(a)
-            wf = half_pi * cosh_t
-            nodes.append(((ea, ea * wf), (1 / ea, wf / ea)))
-    return nodes
-
-
-class _TanhSinhMap:
-    """Finite interval (a, b): yields (y, weight_factor) pairs per node."""
-
-    def __init__(self, a: mpf, b: mpf):
-        self.a = a
-        self.b = b
-        self.halfwidth = (b - a) / 2
-
-    def center(self):
-        return [((self.a + self.b) / 2, self.halfwidth)]
-
-    def nodes(self, prec, level, index):
-        got = _ts_new_nodes(prec, level, index + 1)
-        if index >= len(got):
-            return None
-        d, w = got[index]
-        if d == 0:
-            return None
-        offset = d * self.halfwidth
-        return [(self.b - offset, w * self.halfwidth), (self.a + offset, w * self.halfwidth)]
-
-
-class _ExpSinhMap:
-    """Semi-infinite interval (a, inf)."""
-
-    def __init__(self, a: mpf):
-        self.a = a
-
-    def center(self):
-        return [(self.a + 1, mpf(1))]
-
-    def nodes(self, prec, level, index):
-        got = _es_new_nodes(prec, level, index + 1)
-        if index >= len(got) or got[index] is None:
-            return None
-        (xp, wp_), (xm, wm) = got[index]
-        return [(self.a + xp, wp_), (self.a + xm, wm)]
+    table = _NODE_CACHE.setdefault((kind, prec, level), [])
+    index = 0
+    while True:
+        if index == len(table):
+            with mp.workprec(prec):
+                t = (2 * index + 1 if level > 0 else index + 1) * mpf(2) ** (-level)
+                half_pi = mpmath.pi / 2
+                et = mpmath.exp(t)
+                cosh_t = (et + 1 / et) / 2
+                a = half_pi * (et - 1 / et) / 2
+                if kind == "ts":
+                    e2a = mpmath.exp(2 * a)
+                    d = 2 / (e2a + 1)
+                    w = half_pi * cosh_t * 4 * e2a / (e2a + 1) ** 2
+                    node = (d, w) if d >= mpmath.ldexp(1, -int(6.5 * prec)) else None
+                elif a > mpf(8 * prec) * mpmath.ln(2):
+                    node = None
+                else:
+                    ea = mpmath.exp(a)
+                    wf = half_pi * cosh_t
+                    node = (ea, ea * wf, 1 / ea, wf / ea)
+            table.append(node)
+        if table[index] is None:
+            return
+        yield table[index]
+        index += 1
 
 
 def _coerce(fv) -> mpf:
@@ -195,17 +131,23 @@ def _coerce(fv) -> mpf:
     raise IntegrandError(f"integrand returned non-real value of type {type(fv).__name__}")
 
 
-def _integrate(f, mapper, eps, ctx: PrecisionContext, tail_bound, max_level):
+def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bound, max_level):
+    """Sweep the tanh-sinh table over (a, b), or the exp-sinh one over
+    (a, inf) when b is None."""
     prec = ctx.bits + 16
     with mp.workprec(prec):
         eps = mpf(eps)
         if not eps > 0:
             raise ValueError("eps must be positive")
+        if b is None:
+            kind, centre, hw = "es", a + 1, mpf(1)
+        else:
+            kind, centre, hw = "ts", (a + b) / 2, (b - a) / 2
         cert_beyond = mpf(tail_bound.beyond) if tail_bound is not None else None
         half_pi = mpmath.pi / 2
         noise = mpmath.ldexp(1, -(prec - 10))
 
-        def evaluate(y, weight, term_floor, log_term_floor):
+        def evaluate(y, weight):
             """One weighted integrand evaluation under the tail policy."""
             if cert_beyond is not None and y >= cert_beyond:
                 bound = tail_bound.log_bound(y)
@@ -243,21 +185,17 @@ def _integrate(f, mapper, eps, ctx: PrecisionContext, tail_bound, max_level):
             h = mpf(2) ** (-level)
             term_floor = eps * scale_est / 16
             log_term_floor = mpmath.ln(term_floor)
-            part = mpf(0)
-            if level == 0:
-                for y, wf in mapper.center():
-                    part += evaluate(y, half_pi * wf, term_floor, log_term_floor)
-            index = 0
+            part = evaluate(centre, half_pi * hw) if level == 0 else mpf(0)
             quiet = 0
-            while True:
-                pair = mapper.nodes(prec, level, index)
-                if pair is None:
-                    break
-                contrib = mpf(0)
-                for y, weight in pair:
-                    contrib += evaluate(y, weight, term_floor, log_term_floor)
+            for index, node in enumerate(_nodes(kind, prec, level), 1):
+                if b is None:
+                    x, w, x_small, w_small = node
+                    contrib = evaluate(a + x, w) + evaluate(a + x_small, w_small)
+                else:
+                    d, w = node
+                    offset, weight = d * hw, w * hw
+                    contrib = evaluate(b - offset, weight) + evaluate(a + offset, weight)
                 part += contrib
-                index += 1
                 # Tail cut: several consecutive negligible contributions, but
                 # never before t = j*h reaches past the weight hump at ~1.
                 if index * h >= 1:
@@ -308,7 +246,7 @@ def integrate_finite(
     bv = as_mpf(b, ctx)
     if not av < bv:
         raise ValueError("integration interval requires a < b")
-    return _integrate(f, _TanhSinhMap(av, bv), eps, ctx, None, max_level)
+    return _integrate(f, av, bv, eps, ctx, None, max_level)
 
 
 def integrate_semi_infinite(
@@ -326,37 +264,25 @@ def integrate_semi_infinite(
     everywhere; with one, far-tail nodes it covers are skipped or zeroed
     per the certificate contract.
     """
-    av = as_mpf(a, ctx)
-    return _integrate(f, _ExpSinhMap(av), eps, ctx, tail_bound, max_level)
+    return _integrate(f, as_mpf(a, ctx), None, eps, ctx, tail_bound, max_level)
 
 
 def tanh_sinh_rule(level: int, ctx: PrecisionContext) -> QuadratureRule:
     """The full abscissa/weight table at `level` on the canonical (-1, 1).
 
-    Exposed for inspection and property testing; the integrator consumes
-    the same nodes in endpoint-offset form.
+    Exposed for inspection and property testing; it lists the same node
+    tables the integrator sweeps, down to nodes inside 2^-(bits-2) of +-1.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
     prec = ctx.bits + 16
     with mp.workprec(prec):
-        h = mpf(2) ** (-level)
         inside = mpmath.ldexp(1, -(ctx.bits - 2))
         pairs = [(mpf(0), mpmath.pi / 2)]
-        for lv in range(0, level + 1):
-            count = 1
-            while True:
-                got = _ts_new_nodes(prec, lv, count)
-                if count > len(got):
+        for lv in range(level + 1):
+            for d, w in _nodes("ts", prec, lv):
+                if d < inside:
                     break
-                d, w = got[count - 1]
-                if d == 0 or d < inside:
-                    break
-                x = 1 - d
-                pairs.append((x, w))
-                pairs.append((-x, w))
-                count += 1
-            if level == 0:
-                break
+                pairs += [(1 - d, w), (d - 1, w)]
         pairs.sort(key=lambda t: t[0])
-        return QuadratureRule(level=level, h=+h, nodes=tuple(pairs))
+        return QuadratureRule(level=level, h=+mpf(2) ** (-level), nodes=tuple(pairs))

@@ -162,7 +162,7 @@ class TestMinimization:
             [-1.2, 1.0],
             tol=1e-8,
             max_iter=5000,
-            safeguard=bb.SafeguardConfig(enabled=True),
+            safeguard=True,
         )
         assert result.converged
         assert np.allclose(result.x, [1.0, 1.0], atol=1e-5)
@@ -175,7 +175,7 @@ class TestMinimization:
             [-1.2, 1.0],
             tol=1e-6,
             max_iter=5000,
-            safeguard=bb.SafeguardConfig(enabled=True),
+            safeguard=True,
         )
         assert result.converged
         assert result.iterations == 731

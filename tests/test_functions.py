@@ -286,36 +286,4 @@ class TestHyp2F1:
 class TestElementary:
     def test_exp_zero(self):
         ctx = PrecisionContext.from_digits(30)
-        assert functions.elementary("exp", 0, ctx).value == 1
-
-    def test_sqrt2_squares_back(self):
-        ctx = PrecisionContext.from_digits(40)
-        r = functions.elementary("sqrt", 2, ctx)
-        with mp.workprec(ctx.bits + 16):
-            assert abs(r.value * r.value - 2) < mpf(10) ** -38
-
-    def test_sin_at_computed_pi(self):
-        from expmath import agm
-
-        ctx = PrecisionContext.from_digits(40)
-        pi_val = agm.pi_value(ctx)
-        s = functions.elementary("sin", pi_val, ctx)
-        with mp.workprec(ctx.bits):
-            assert abs(s.value) < mpf(10) ** -38
-
-    def test_nthroot_of_negative(self):
-        ctx = PrecisionContext.from_digits(30)
-        r = functions.elementary("nthroot", -8, ctx, operand=3)
-        with mp.workprec(ctx.bits):
-            assert abs(r.value + 2) < mpf(10) ** -28
-        with pytest.raises(DomainError):
-            functions.elementary("nthroot", -8, ctx, operand=2)
-
-    def test_power_domain(self):
-        ctx = PrecisionContext.from_digits(30)
-        with pytest.raises(DomainError):
-            functions.elementary("power", -2, ctx, operand=mpf("0.5"))
-        with pytest.raises(DomainError):
-            functions.elementary("ln", -1, ctx)
-        with pytest.raises(DomainError):
-            functions.elementary("frobnicate", 1, ctx)
+        assert functions.exp(0, ctx).value == 1

@@ -1,5 +1,7 @@
 """Quadrature engine: known integrals, endpoint singularities, tail policy."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
@@ -61,12 +63,22 @@ class TestFiniteIntervals:
         with mp.workprec(ctx.bits + 16):
             _check(r, mpmath.pi / 4, mpf(10) ** -28)
 
-    def test_shifted_interval(self):
-        # integral of 1/x over (2, 6) is ln 3
-        ctx = PrecisionContext.from_digits(30)
-        r = quadrature.integrate_finite(lambda x: 1 / x, 2, 6, mpf(10) ** -30, ctx)
+    @pytest.mark.parametrize(
+        "f, a, b, digits, exact, tol",
+        [
+            (lambda x: 1 / x, 2, 6, 30, lambda: mpmath.ln(3), 28),
+            # half-widths that are not 53-bit floats, so the interval's
+            # geometry must be formed at the working precision
+            (lambda x: x, 0, Fraction(1, 3), 50, lambda: mpf(1) / 18, 45),
+            (lambda x: x, "0.1", 1, 50, lambda: (1 - mpf("0.1") ** 2) / 2, 45),
+        ],
+        ids=["ln3", "third", "tenth"],
+    )
+    def test_shifted_interval(self, f, a, b, digits, exact, tol):
+        ctx = PrecisionContext.from_digits(digits)
+        r = quadrature.integrate_finite(f, a, b, mpf(10) ** -digits, ctx)
         with mp.workprec(ctx.bits + 16):
-            _check(r, mpmath.ln(3), mpf(10) ** -28)
+            _check(r, exact(), mpf(10) ** -tol)
 
     def test_precision_scales(self):
         ctx_lo = PrecisionContext.from_digits(25)
