@@ -9,6 +9,22 @@ iteration:
     a0=1, b0=1/sqrt(2), t0=1/4, x0=1
     a' = (a+b)/2, b' = sqrt(ab), t' = t - x (a-a')^2, x' = 2x
     pi ~ (a'+b')^2 / (4 t')
+
+That iteration is the paper's and the independent route; `pi_raw`, the
+value the rest of the package reads, sums the Chudnovsky series
+
+    1/pi = 12 sum_k (-1)^k (6k)! (13591409 + 545140134 k)
+                     / ((3k)! (k!)^3 640320^(3k+3/2))
+
+by binary splitting (Haible and Papanikolaou, 1998): the products P and Q
+of the term ratios and the partial sum T of terms a..b come from those of
+a..m and m..b, so every big product pairs numbers of similar size, and
+pi = 426880 sqrt(10005) Q / T in integers scaled by 2^fp, fp = prec + 40,
+with `math.isqrt` for the root.  Each term adds 47.11 bits, so the
+fp/47.11 + 2 terms taken leave a tail under 2^-(fp+90); Q/T is exact, the
+floored root's error is scaled by 426880 Q/T = pi/sqrt(10005) < 1/30, and
+with the final floor the value is within two ulps, 2^-(prec+39).  It is
+returned at prec + 32 bits.
 """
 
 from __future__ import annotations
@@ -20,6 +36,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .precision import (
     BigReal,
@@ -157,13 +174,42 @@ def archimedes_bounds() -> tuple[Fraction, Fraction]:
     return (Fraction(223, 71), Fraction(22, 7))
 
 
+#: 640320^3 / 24, the Chudnovsky series' per-term denominator factor.
+_C3_OVER_24 = 640320 ** 3 // 24
+
+#: Bits each Chudnovsky term adds: log2(640320^3 / 1728).
+_CHUDNOVSKY_BITS_PER_TERM = 47.11
+
+
+def _chudnovsky_split(a: int, b: int):
+    """(P, Q, T) of the Chudnovsky terms a..b-1 by binary splitting."""
+    if b - a == 1:
+        if a == 0:
+            p = q = 1
+        else:
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            q = a * a * a * _C3_OVER_24
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a & 1 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky_split(a, m)
+    p2, q2, t2 = _chudnovsky_split(m, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+
 @lru_cache(maxsize=64)
 def pi_raw(prec: int) -> mpf:
-    """pi at `prec` bits from the Gauss-Legendre iteration (cached)."""
-    work = prec + 32
-    digits = work * math.log10(2.0)
-    iterations = max(3, int(math.log2(digits / 0.6)) + 2)
-    return _gl_approximations(iterations, work)[-1]
+    """pi at `prec` bits from the Chudnovsky series (cached).
+
+    Returned rounded to prec + 32 bits; see the module docstring.
+    """
+    out = prec + 32
+    fp = out + 8
+    terms = int(fp / _CHUDNOVSKY_BITS_PER_TERM) + 2
+    _, q, t = _chudnovsky_split(0, terms)
+    v = 426880 * math.isqrt(10005 << (2 * fp)) * q // t
+    with mp.workprec(out):
+        return mpf(from_man_exp(v, -fp))
 
 
 def pi_value(ctx: PrecisionContext) -> BigReal:

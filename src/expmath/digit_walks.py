@@ -2,9 +2,15 @@
 
 Digits come from exact integer arithmetic on the binary value of each
 constant (no decimal round-tripping): the integer part is rendered first
-when nonzero, then repeated multiply-and-floor produces fractional digits.
-Champernowne's number never touches arithmetic at all - its digits are the
-concatenation 1, 2, 3, ... written in the construction base.
+when nonzero, then the m fractional digits of r/q are the digits of the
+one scaled floor N = r b^m // q (a shift when q is a power of two).  N, and
+the integer part, convert to digits by divide-and-conquer radix splitting
+on b^h, h = m // 2 (Brent and Zimmermann, Modern Computer Arithmetic 1.7),
+so the big divisions halve in size with each level instead of one divmod
+of the whole remainder per digit.  Champernowne's number never touches
+arithmetic at all - its digits are the concatenation 1, 2, 3, ... written
+in the construction base; its value for a cross-base request joins those
+digits by the same split, run in reverse.
 
 A walk maps digit d (mod 4) to a unit step - 0 east, 1 north, 2 west,
 3 south - starting from the origin.  Renders are deliberately boring:
@@ -16,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp, mpf
+from functools import lru_cache
 
 from . import agm, functions
 from .precision import (
@@ -65,14 +70,51 @@ def _champernowne_digits(construction_base: int, count: int):
     return out[:count]
 
 
+#: Digit runs this short are converted by plain divmod, longer ones split.
+_RADIX_LEAF = 32
+
+
+@lru_cache(maxsize=256)
+def _radix_power(base: int, h: int) -> int:
+    return base ** h
+
+
+def _radix_digits(n: int, base: int, m: int, out: list) -> None:
+    """Append the m base-`base` digits of n < base^m, leading zeros kept.
+
+    Divide and conquer (Brent and Zimmermann, MCA 1.7): n splits as
+    hi * base^h + lo with h = m // 2, and each half converts on its own.
+    """
+    if m <= _RADIX_LEAF:
+        rep = [0] * m
+        for i in range(m - 1, -1, -1):
+            n, rep[i] = divmod(n, base)
+        out.extend(rep)
+        return
+    h = m // 2
+    hi, lo = divmod(n, _radix_power(base, h))
+    _radix_digits(hi, base, m - h, out)
+    _radix_digits(lo, base, h, out)
+
+
+def _radix_value(digs, base: int) -> int:
+    """The integer whose base-`base` digits are `digs`: _radix_digits reversed."""
+    m = len(digs)
+    if m <= _RADIX_LEAF:
+        n = 0
+        for d in digs:
+            n = n * base + d
+        return n
+    h = m // 2
+    hi = _radix_value(digs[: m - h], base)
+    return hi * _radix_power(base, h) + _radix_value(digs[m - h :], base)
+
+
 def _champernowne_value_bits(construction_base: int, bits: int) -> Fraction:
     """Exact truncation of the Champernowne constant, good to `bits` bits."""
     ndigits = int(bits / math.log2(construction_base)) + 16
     digs = _champernowne_digits(construction_base, ndigits)
-    num = 0
-    for d in digs:
-        num = num * construction_base + d
-    return Fraction(num, construction_base ** len(digs))
+    return Fraction(_radix_value(digs, construction_base), construction_base ** len(digs))
 
 
 def _constant_fraction(constant: str, bits: int) -> Fraction:
@@ -128,15 +170,20 @@ def digits(constant: str, base: int, count: int, ctx: PrecisionContext) -> Digit
     whole, r = divmod(p, q)
     out = []
     if whole > 0:
-        rep = []
-        while whole:
-            rep.append(int(whole % base))
-            whole //= base
-        out.extend(reversed(rep))
-    while len(out) < count:
-        r *= base
-        d, r = divmod(r, q)
-        out.append(int(d))
+        # base >= 2^(bit_length - 1), so this many digits hold `whole`
+        _radix_digits(whole, base, -(-whole.bit_length() // (base.bit_length() - 1)), out)
+        first = next(i for i, d in enumerate(out) if d)
+        del out[:first]
+    m = count - len(out)
+    if m > 0:
+        # all m fractional digits at once: floor(r/q * base^m), then split;
+        # a binary constant's q is a power of two, so the floor is a shift
+        scaled = r * base ** m
+        if q & (q - 1):
+            scaled //= q
+        else:
+            scaled >>= q.bit_length() - 1
+        _radix_digits(scaled, base, m, out)
     return DigitStream(constant=constant, base=base, digits=tuple(out[:count]))
 
 

@@ -6,10 +6,11 @@ vs. asymptotic), which the test suite exploits as cross-checks:
 
 * Euler's constant comes from the exponentially convergent Bessel-quotient
   scheme  gamma = A(n)/B(n) - ln n + O(e^{-4n})  with
-  A(n) = sum_k H_k (n^k/k!)^2,  B(n) = sum_k (n^k/k!)^2 = I0(2n);
-  the independent route is the integral  -int_0^inf e^{-t} ln t dt.
+  A(n) = sum_k H_k u_k,  B(n) = sum_k u_k = I0(2n),  u_k = (n^k/k!)^2
+  (Brent and McMillan, Math. Comp. 34 (1980) 305); the independent route is
+  the integral  -int_0^inf e^{-t} ln t dt.
 * zeta(3) uses the accelerated alternating series
-  (5/2) * sum_{n>=1} (-1)^{n-1} / (n^3 binom(2n,n)),
+  (5/2) * sum_{n>=1} (-1)^{n-1} t_n,  t_n = 1 / (n^3 binom(2n,n)),
   which gains ~0.6 decimal digits per term.
 * K0(t) switches between the ascending series (small t, cancellation
   absorbed by extra working bits) and the divergent asymptotic series
@@ -18,6 +19,25 @@ vs. asymptotic), which the test suite exploits as cross-checks:
   arbiter between the two routes.  The ascending series sums on fixed-point
   integers (a few guard bits past the working precision) and takes gamma
   from one build per precision, rounded to each call's working precision.
+
+The gamma and zeta(3) series also run on integers scaled by 2^fp, by their
+integer term ratios, so that no step multiplies two big numbers:
+
+* gamma: u_k = u_{k-1} n^2 // k^2 and v_k = u_k H_k = v_{k-1} n^2 // k^2 +
+  u_k // k, summed into B and A, with fp = prec + 32 + 2 bits(n) + 5.  A
+  step truncates u_k by under one ulp (2^-fp) and v_k by under two; like
+  the term itself, an error is carried on scaled by n^2/k^2, so after K
+  terms each sum is within 3K max(B, K) ulps of its exact value, and B > K.
+  The quotient A/B ~ ln n + gamma is then off by under 6K (ln n + 1) ulps,
+  below 2^-(prec+32) while K < 4n (the loop stops near K = 3.6n).  It
+  stops once v_k < 2^-(prec+40) B, past k = 3.5n, where the tail falls by
+  (n/k)^2 < 1/12 a term.  The scheme's own error pi e^{-4n} <
+  10^-(digits+4) bounds the value at about 2^-(prec+13); it is returned at
+  prec + 32 bits.
+* zeta(3): t_{n+1} = t_n n^3 // (2 (2n+1) (n+1)^2), with fp = prec + 16 +
+  bits(prec) + 4.  The ratio is below 1/4, so each t_n is within 4/3 ulp,
+  and the N ~ fp/2 terms summed until t_n = 0 leave (5/2) sum within 4N <
+  2^(bits(prec)+2) ulps: under 2^-(prec+18), returned at prec + 16 bits.
 """
 
 from __future__ import annotations
@@ -29,7 +49,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_int, from_man_exp, mpf_log, to_fixed
 
 from .precision import (
     BigReal,
@@ -58,29 +78,34 @@ def _digits_for_bits(bits: int) -> int:
 
 @lru_cache(maxsize=64)
 def _euler_gamma_raw(prec: int) -> mpf:
-    """Euler's constant at `prec` bits via the A(n)/B(n) - ln n scheme."""
+    """Euler's constant at `prec` bits via the A(n)/B(n) - ln n scheme.
+
+    Summed on integers scaled by 2^fp; see the module docstring for the
+    recurrences and the error bound.  Returned rounded to prec + 32 bits.
+    """
     d = _digits_for_bits(prec) + 4
     n = int(_LN10_OVER_4 * d) + 3  # pi*e^{-4n} < 10^{-d} with margin
-    with mp.workprec(prec + 32):
-        A = mpf(0)
-        B = mpf(0)
-        H = mpf(0)
-        term = mpf(1)
-        n2 = mpf(n) ** 2
-        floor_shift = -(mp.prec + 8)
-        k = 0
-        while True:
-            A += term * H
-            B += term
-            k += 1
-            term = term * n2 / (k * k)
-            H += mpf(1) / k
-            if k > n and term < mpmath.ldexp(B, floor_shift):
-                break
-            if k > 64 * n:
-                raise ConvergenceError("gamma series failed to terminate")
-        g = +(A / B - mpmath.ln(n))
-    return g
+    out = prec + 32
+    fp = out + 2 * n.bit_length() + 5
+    n2 = n * n
+    u = B = 1 << fp
+    v = A = 0
+    shift = out + 8
+    k = 0
+    while True:
+        k += 1
+        k2 = k * k
+        u = u * n2 // k2
+        v = v * n2 // k2 + u // k
+        B += u
+        A += v
+        if k > n and v < B >> shift:
+            break
+        if k > 64 * n:
+            raise ConvergenceError("gamma series failed to terminate")
+    g = (A << fp) // B - to_fixed(mpf_log(from_int(n), fp + 8), fp)
+    with mp.workprec(out):
+        return mpf(from_man_exp(g, -fp))
 
 
 def euler_gamma(ctx: PrecisionContext) -> BigReal:
@@ -90,25 +115,23 @@ def euler_gamma(ctx: PrecisionContext) -> BigReal:
 
 @lru_cache(maxsize=64)
 def _zeta3_raw(prec: int) -> mpf:
-    """zeta(3) by the accelerated central-binomial series."""
-    with mp.workprec(prec + 16):
-        acc = mpf(0)
-        binom = 2  # binom(2n, n) at n = 1
-        n = 1
-        sign = 1
-        floor_shift = -(mp.prec + 8)
-        while True:
-            term = mpf(1) / (binom * n ** 3)
-            acc += sign * term
-            if term < mpmath.ldexp(1, floor_shift):
-                break
-            sign = -sign
-            binom = binom * 2 * (2 * n + 1) // (n + 1)
-            n += 1
-            if n > 10 ** 6:
-                raise ConvergenceError("zeta(3) series failed to terminate")
-        v = +(mpf(5) / 2 * acc)
-    return v
+    """zeta(3) by the accelerated central-binomial series, in fixed point.
+
+    Returned rounded to prec + 16 bits; see the module docstring.
+    """
+    out = prec + 16
+    fp = out + prec.bit_length() + 4
+    t = 1 << (fp - 1)  # t_1 = 1/(1^3 binom(2, 1))
+    acc = 0
+    n = 1
+    while t:
+        acc += t if n & 1 else -t
+        t = t * n ** 3 // (2 * (2 * n + 1) * (n + 1) ** 2)
+        n += 1
+        if n > 10 ** 6:
+            raise ConvergenceError("zeta(3) series failed to terminate")
+    with mp.workprec(out):
+        return mpf(from_man_exp(5 * acc, -(fp + 1)))
 
 
 def zeta3(ctx: PrecisionContext) -> BigReal:

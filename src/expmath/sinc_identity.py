@@ -59,8 +59,8 @@ _PANEL_CAP = 2_000
 #: threshold_scan refuses a crossing index whose estimate needs more bits.
 _SCAN_PREC_CAP = 4096
 
-#: Euler's constant to double precision: locates crossings below 2^40
-#: without building gamma at the scan's working precision.
+#: Euler's constant to double precision: sizes the crossing index, and so
+#: the scan's working precision, before gamma is built at that precision.
 _GAMMA_ESTIMATE = 0.5772156649015329
 
 
@@ -419,7 +419,7 @@ def threshold_scan(threshold, ctx: PrecisionContext) -> int:
     for prec in (wp, 2 * wp):
         with mp.workprec(prec):
             t = _frac_to_mpf(exact)
-            gamma = _GAMMA_ESTIMATE if n_bits < 40 else functions._euler_gamma_raw(prec)
+            gamma = functions._euler_gamma_raw(prec)
             n = max(1, int(mpmath.exp(2 * t - gamma - mpmath.ln(4))))
         try:
             while not _exceeds(n, t, exact, prec):

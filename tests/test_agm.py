@@ -1,5 +1,6 @@
 """Mean iterations and the quadratically convergent pi algorithm."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -149,6 +150,20 @@ class TestGaussLegendrePi:
         assert [e.value for e in a.per_iteration_error] == [
             e.value for e in b.per_iteration_error
         ]
+
+
+class TestPiRaw:
+    """Chudnovsky pi against the Gauss-Legendre iteration and the library."""
+
+    @pytest.mark.parametrize("bits", [2000, 33072])
+    def test_two_routes_and_library_agree(self, bits):
+        v = agm.pi_raw(bits)
+        work = bits + 32
+        iterations = int(math.log2(work * math.log10(2.0) / 0.6)) + 2
+        gl = agm._gl_approximations(iterations, work)[-1]
+        with mp.workprec(bits + 64):
+            assert abs(v - gl) < mpmath.ldexp(1, -bits)
+            assert abs(v - mpmath.pi) < mpmath.ldexp(1, -bits)
 
 
 class TestRationalBracket:

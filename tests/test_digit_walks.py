@@ -1,7 +1,12 @@
 """Digit extraction in arbitrary bases and deterministic walk rendering."""
 
+import math
+from fractions import Fraction
+from unittest import mock
+
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expmath import digit_walks
 from expmath.precision import DomainError, PrecisionContext, PrecisionError
@@ -77,6 +82,63 @@ class TestDigits:
         a = digit_walks.digits("pi", 16, 40, _ctx())
         b = digit_walks.digits("pi", 16, 40, _ctx())
         assert a.digits == b.digits
+
+
+def _divmod_digits(frac, base, count):
+    """Oracle: integer digits, then one multiply-and-divmod per fractional digit."""
+    q = frac.denominator
+    whole, r = divmod(frac.numerator, q)
+    out = []
+    while whole:
+        whole, d = divmod(whole, base)
+        out.insert(0, d)
+    while len(out) < count:
+        d, r = divmod(r * base, q)
+        out.append(d)
+    return tuple(out[:count])
+
+
+@st.composite
+def _fractions(draw):
+    # binary constants have power-of-two denominators, the others do not
+    q = draw(st.one_of(st.integers(0, 12_000).map(lambda k: 1 << k),
+                       st.integers(1, 1 << 12_000)))
+    whole = draw(st.one_of(st.just(0), st.integers(1, 40), st.integers(0, 10 ** 4000)))
+    return Fraction(whole * q + draw(st.integers(0, q - 1)), q)
+
+
+class TestDigitConversion:
+    """digits() against the repeated-divmod loop it replaced."""
+
+    @settings(max_examples=60)
+    @given(frac=_fractions(), base=st.integers(2, 36), count=st.integers(1, 3000))
+    def test_matches_divmod_oracle(self, frac, base, count):
+        ctx = PrecisionContext(math.ceil(count * math.log2(base)) + 64, 1)
+        with mock.patch.object(digit_walks, "_constant_fraction", return_value=frac):
+            s = digit_walks.digits("pi", base, count, ctx)
+        assert s.digits == _divmod_digits(frac, base, count)
+
+    def test_integer_part_longer_than_count(self):
+        frac = Fraction(10 ** 50 + 7, 3)
+        with mock.patch.object(digit_walks, "_constant_fraction", return_value=frac):
+            s = digit_walks.digits("pi", 10, 20, _ctx())
+        assert s.digits == tuple(int(c) for c in str(frac.numerator // 3)[:20])
+
+    @given(n=st.integers(0, 1 << 5000), base=st.integers(2, 36))
+    def test_value_inverts_digits(self, n, base):
+        m = max(1, math.ceil(n.bit_length() / math.log2(base)))
+        out = []
+        digit_walks._radix_digits(n, base, m, out)
+        assert len(out) == m
+        assert digit_walks._radix_value(out, base) == n
+
+    def test_champernowne_value_against_horner(self):
+        value = digit_walks._champernowne_value_bits(7, 3000)
+        digs = digit_walks._champernowne_digits(7, int(3000 / math.log2(7)) + 16)
+        num = 0
+        for d in digs:
+            num = num * 7 + d
+        assert value == Fraction(num, 7 ** len(digs))
 
 
 class TestWalk:

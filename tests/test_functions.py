@@ -74,6 +74,22 @@ class TestZeta3:
             assert z < mpmath.pi ** 3 / 24 + 1
 
 
+class TestConstantsAtSurveyScale:
+    """The fixed-point series at the bit budgets of the survey's walks."""
+
+    BITS = 8064
+
+    def test_gamma_within_one_unit(self):
+        g = functions._euler_gamma_raw(self.BITS)
+        with mp.workprec(self.BITS + 64):
+            assert abs(g - mpmath.euler) < mpmath.ldexp(1, -self.BITS)
+
+    def test_zeta3_within_one_unit(self):
+        z = functions._zeta3_raw(self.BITS)
+        with mp.workprec(self.BITS + 64):
+            assert abs(z - mpmath.zeta(3)) < mpmath.ldexp(1, -self.BITS)
+
+
 class TestBesselK0:
     """The series and asymptotic routes, arbitrated by the integral form."""
 
