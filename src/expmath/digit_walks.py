@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import agm, functions
 from .precision import (
@@ -30,6 +29,8 @@ from .precision import (
     DomainError,
     PrecisionContext,
     PrecisionError,
+    _radix_digits,
+    _radix_value,
     _to_fraction,
 )
 
@@ -68,46 +69,6 @@ def _champernowne_digits(construction_base: int, count: int):
         out.extend(reversed(rep))
         n += 1
     return out[:count]
-
-
-#: Digit runs this short are converted by plain divmod, longer ones split.
-_RADIX_LEAF = 32
-
-
-@lru_cache(maxsize=256)
-def _radix_power(base: int, h: int) -> int:
-    return base ** h
-
-
-def _radix_digits(n: int, base: int, m: int, out: list) -> None:
-    """Append the m base-`base` digits of n < base^m, leading zeros kept.
-
-    Divide and conquer (Brent and Zimmermann, MCA 1.7): n splits as
-    hi * base^h + lo with h = m // 2, and each half converts on its own.
-    """
-    if m <= _RADIX_LEAF:
-        rep = [0] * m
-        for i in range(m - 1, -1, -1):
-            n, rep[i] = divmod(n, base)
-        out.extend(rep)
-        return
-    h = m // 2
-    hi, lo = divmod(n, _radix_power(base, h))
-    _radix_digits(hi, base, m - h, out)
-    _radix_digits(lo, base, h, out)
-
-
-def _radix_value(digs, base: int) -> int:
-    """The integer whose base-`base` digits are `digs`: _radix_digits reversed."""
-    m = len(digs)
-    if m <= _RADIX_LEAF:
-        n = 0
-        for d in digs:
-            n = n * base + d
-        return n
-    h = m // 2
-    hi = _radix_value(digs[: m - h], base)
-    return hi * _radix_power(base, h) + _radix_value(digs[m - h :], base)
 
 
 def _champernowne_value_bits(construction_base: int, bits: int) -> Fraction:

@@ -7,8 +7,10 @@ so identical inputs always produce identical outputs.
 
 Decimal rendering goes through exact integer arithmetic (the binary mantissa
 is converted to a rational and rounded half-to-even at the requested number of
-significant digits), so rendered strings are reproducible bit-for-bit and
-independent of any formatting library.
+significant digits, and the rounded mantissa becomes digits by the same radix
+splitting as digit extraction), so rendered strings are reproducible
+bit-for-bit, independent of any formatting library and of CPython's limit on
+int-to-str conversion.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
@@ -163,6 +166,46 @@ def _to_fraction(x: mpf) -> Fraction:
     return -frac if sign else frac
 
 
+#: Digit runs this short are converted by plain divmod, longer ones split.
+_RADIX_LEAF = 32
+
+
+@lru_cache(maxsize=256)
+def _radix_power(base: int, h: int) -> int:
+    return base ** h
+
+
+def _radix_digits(n: int, base: int, m: int, out: list) -> None:
+    """Append the m base-`base` digits of n < base^m, leading zeros kept.
+
+    Divide and conquer (Brent and Zimmermann, MCA 1.7): n splits as
+    hi * base^h + lo with h = m // 2, and each half converts on its own.
+    """
+    if m <= _RADIX_LEAF:
+        rep = [0] * m
+        for i in range(m - 1, -1, -1):
+            n, rep[i] = divmod(n, base)
+        out.extend(rep)
+        return
+    h = m // 2
+    hi, lo = divmod(n, _radix_power(base, h))
+    _radix_digits(hi, base, m - h, out)
+    _radix_digits(lo, base, h, out)
+
+
+def _radix_value(digs, base: int) -> int:
+    """The integer whose base-`base` digits are `digs`: _radix_digits reversed."""
+    m = len(digs)
+    if m <= _RADIX_LEAF:
+        n = 0
+        for d in digs:
+            n = n * base + d
+        return n
+    h = m // 2
+    hi = _radix_value(digs[: m - h], base)
+    return hi * _radix_power(base, h) + _radix_value(digs[m - h :], base)
+
+
 def render_decimal(x: mpf, digits: int) -> str:
     """Render `x` with `digits` significant decimal digits.
 
@@ -193,11 +236,14 @@ def render_decimal(x: mpf, digits: int) -> str:
     double_rem = 2 * r
     if double_rem > scaled.denominator or (double_rem == scaled.denominator and q % 2 == 1):
         q += 1
-    if q == 10 ** digits:  # rounding rippled through every digit (…999 -> …000)
+    top = 10 ** digits
+    if q == top:  # rounding rippled through every digit (…999 -> …000)
         q //= 10
         e += 1
-    s = str(q)
-    assert len(s) == digits
+    assert top // 10 <= q < top
+    out: list = []
+    _radix_digits(q, 10, digits, out)  # str(q) stops at 4300 digits
+    s = "".join(map(str, out))
     prefix = "-" if negative else ""
     if 0 <= e < digits + 4:
         if e + 1 >= digits:

@@ -5,24 +5,24 @@ Both sides of the identity
     1/2 + sum_{n>=1} prod_{k=0}^{N} sinc(n/(2k+1))
         = int_0^inf prod_{k=0}^{N} sinc(x/(2k+1)) dx
 
-are computed independently.  The identity holds exactly while the total
-frequency sum_{k=0}^{N} 1/(2k+1) stays below 2*pi (a Poisson-summation
+are computed by separate formulas.  The identity holds exactly while the
+total frequency sum_{k=0}^{N} 1/(2k+1) stays below 2*pi (a Poisson-summation
 aliasing criterion) and first fails at N = 40249.
 
-Sum side.  The product of N+1 sines expands exactly into 2^N cosines
-(N+1 even) or sines (N+1 odd) at frequencies sum_k (+/-)1/(2k+1), all lying
-in (0, 2*pi) for N <= 12.  That turns the infinite sum into finitely many
-Fourier series sum cos(n*theta)/n^s resp. sum sin(n*theta)/n^s with known
-Bernoulli-polynomial closed forms - no truncation at all.  For larger N the
-terms die off so fast (D/n^{N+1} with D = (2N+1)!!) that direct summation
-with that rigorous tail bound is cheap; the two routes cross-check each
-other on overlapping cases.
+For N <= 12 both sides are exact sums over the same 2^N sign patterns of
+the frequencies sum_k (+/-)1/(2k+1), enumerated once in integers
+(`_sign_patterns`).  Sum side: the product of sines is a signed sum of
+cosines or sines at those frequencies, whose Fourier series sum_n
+cos(n*theta)/n^s resp. sin(n*theta)/n^s are Bernoulli polynomials, so the
+sum is a polynomial in 2*pi with rational coefficients built from the
+patterns' power sums.  Integral side: Borwein's sign sum gives r*pi with r
+rational, 1/2 for N <= 6 and exactly below that at N = 7.
 
-Integral side.  For N <= 12 it is r*pi with r an exact rational, summed
-in integers over the sign patterns of the frequencies (Borwein's formula,
-sharing nothing with the sum side's expansion): r = 1/2 for N <= 6, and the
-break at N = 7 is exact.  Beyond, panelled tanh-sinh quadrature on [0, T]
-under the envelope tail bound D/(N T^N), refused past _PANEL_CAP panels.
+Beyond, the sum is summed directly under the rigorous tail bound D/(N n^N),
+D = (2N+1)!! (this route shares nothing with the sign patterns and checks
+them on overlapping cases), and the integral by panelled tanh-sinh
+quadrature on [0, T] under the envelope tail bound D/(N T^N), refused past
+_PANEL_CAP panels.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
@@ -47,7 +46,7 @@ from .precision import (
     make_real,
 )
 
-#: Largest N handled by the exact trigonometric expansion (2^N terms).
+#: Largest N evaluated in closed form on both sides, over 2^N sign patterns.
 EXPANSION_LIMIT = 12
 
 #: Direct summation refuses more terms than this.
@@ -99,51 +98,6 @@ def sinc(x, ctx: PrecisionContext | None = None) -> BigReal:
     return BigReal(value=v, computed_at_bits=bits)
 
 
-@lru_cache(maxsize=32)
-def _expansion(N: int):
-    """Exact expansion of prod_{k=0}^{N} sin(x/(2k+1)).
-
-    Returns (terms, constant) where terms is a tuple of ((kind, frequency:
-    Fraction), Fraction coefficient) pairs sorted by (frequency, kind), kind
-    is 'cos' or 'sin', and constant is the coefficient of 1 (arising from any
-    zero frequency).  Built by repeated product-to-sum rewriting; all
-    arithmetic exact.
-    """
-    terms = {("sin", Fraction(1)): Fraction(1)}
-    constant = Fraction(0)
-    for k in range(1, N + 1):
-        w = Fraction(1, 2 * k + 1)
-        new: dict = {}
-        new_constant = Fraction(0)
-
-        def put(kind, freq, coeff):
-            nonlocal new_constant
-            if freq < 0:
-                freq = -freq
-                if kind == "sin":
-                    coeff = -coeff
-            if freq == 0:
-                if kind == "cos":
-                    new_constant += coeff
-                return
-            key = (kind, freq)
-            new[key] = new.get(key, Fraction(0)) + coeff
-
-        for (kind, freq), coeff in terms.items():
-            if kind == "sin":
-                put("cos", freq - w, coeff / 2)
-                put("cos", freq + w, -coeff / 2)
-            else:
-                put("sin", freq + w, coeff / 2)
-                put("sin", freq - w, -coeff / 2)
-        if constant:
-            key = ("sin", w)
-            new[key] = new.get(key, Fraction(0)) + constant
-        terms = {key: val for key, val in new.items() if val != 0}
-        constant = new_constant
-    return tuple(sorted(terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))), constant
-
-
 def _tangent_numbers(n: int) -> list[int]:
     """[0, T_1, ..., T_{n-1}]: Brent & Harvey, "Fast computation of Bernoulli,
     Tangent and Secant numbers" (2011), Algorithm TangentNumbers."""
@@ -186,28 +140,6 @@ def _bernoulli_number(m: int) -> Fraction:
     return _even_bernoulli_numbers(m // 2 + 1)[m // 2]
 
 
-def _fourier_power_series(s: int):
-    """theta -> sum_{n>=1} cos(n theta)/n^s (s even) or sin(n theta)/n^s (s odd).
-
-    Valid for s >= 2 and theta in [0, 2*pi], through the closed form
-    +-(2 pi)^s / (2 s!) B_s(theta / (2 pi)).  Everything that depends on s
-    alone is built once, at the caller's precision.
-    """
-    sign = -1 if (s // 2 + 1) % 2 else 1
-    two_pi = 2 * mpmath.pi
-    scale = sign * two_pi ** s / (2 * mpmath.factorial(s))
-    coeffs = [_frac_to_mpf(Fraction(math.comb(s, j)) * _bernoulli_number(j)) for j in range(s + 1)]
-
-    def series(theta: mpf) -> mpf:
-        x = theta / two_pi
-        acc = mpf(0)
-        for c in coeffs:  # Horner's rule, highest power first
-            acc = acc * x + c
-        return scale * acc
-
-    return series
-
-
 def _odd_double_factorial(N: int) -> int:
     out = 1
     for k in range(N + 1):
@@ -219,29 +151,62 @@ def _frac_to_mpf(fr: Fraction) -> mpf:
     return mpf(fr.numerator) / fr.denominator
 
 
+def _sign_patterns(N: int) -> tuple[int, list[tuple[int, int]]]:
+    """(P, [(B_gamma, eps_gamma)]) over the sign patterns gamma in {+-1}^(N+1)
+    with gamma_0 = +1: P = prod_{k=0}^{N} (2k+1), B_gamma = sum_k gamma_k
+    P/(2k+1) (P times the frequency sum_k gamma_k/(2k+1)) and eps_gamma =
+    prod_k gamma_k.  Both sides of the identity are sums over these."""
+    P = _odd_double_factorial(N)
+    signed = [(P, 1)]
+    for k in range(1, N + 1):
+        w = P // (2 * k + 1)
+        signed = [pair for B, e in signed for pair in ((B + w, e), (B - w, -e))]
+    return P, signed
+
+
+def _sum_coefficients(N: int) -> list[Fraction]:
+    """[q_0, ..., q_s], s = N+1: the sum side is exactly 1/2 + sum_j q_j (2 pi)^j.
+
+    Over the sign patterns, prod_k sin(x/(2k+1)) = (-1)^(s//2) 2^(1-s)
+    sum_gamma eps sigma trig(|B| x/P), with trig = cos, sigma = 1 for even s
+    and trig = sin, sigma = sgn(B) for odd s.  Each sum_n trig(n theta)/n^s
+    is (-1)^(s//2+1) (2 pi)^s / (2 s!) b_s(theta/(2 pi)) on [0, 2 pi], where
+    every |B|/P lies for N <= 12.  The two signs multiply to -1, so with the
+    power sums S_k = sum eps sigma |B|^k and the Bernoulli numbers b_j,
+    q_j = -P C(s, j) b_j S_(s-j) / (2^s s! P^(s-j)).
+    """
+    s = N + 1
+    P, signed = _sign_patterns(N)
+    sums = [0] * (s + 1)
+    for B, e in signed:
+        t = e if s % 2 == 0 or B > 0 else (-e if B else 0)
+        a = abs(B)
+        for k in range(s + 1):
+            sums[k] += t
+            t *= a
+    c = Fraction(-P, 2 ** s * math.factorial(s))
+    return [c * math.comb(s, j) * _bernoulli_number(j) * Fraction(sums[s - j], P ** (s - j))
+            for j in range(s + 1)]
+
+
 def sinc_sum(N: int, eps, ctx: PrecisionContext) -> BigReal:
     """1/2 + sum_{n>=1} prod_{k=0}^{N} sinc(n/(2k+1)).
 
-    For N <= EXPANSION_LIMIT the sum is evaluated in closed form (the only
-    error is roundoff, far below any admissible eps); beyond that, by
-    direct summation truncated under the D/(N n^N) tail bound.
+    For N <= EXPANSION_LIMIT the sum is the exact polynomial in 2 pi of
+    `_sum_coefficients`, evaluated by Horner's rule at ctx.bits + 96 bits
+    (the only error is roundoff, far below any admissible eps); beyond
+    that, by direct summation truncated under the D/(N n^N) tail bound.
     """
     if N < 1:
         raise DomainError("N must be at least 1")
     if N <= EXPANSION_LIMIT:
-        terms, constant = _expansion(N)
-        s = N + 1
-        D = _odd_double_factorial(N)
-        wp = ctx.bits + 96
-        with mp.workprec(wp):
-            # every term has the kind fixed by the parity of s
-            series = _fourier_power_series(s)
+        coeffs = _sum_coefficients(N)
+        with mp.workprec(ctx.bits + 96):
+            two_pi = 2 * mpmath.pi
             acc = mpf(0)
-            for (_kind, freq), coeff in terms:
-                acc += _frac_to_mpf(coeff) * series(_frac_to_mpf(freq))
-            if constant:
-                acc += _frac_to_mpf(constant) * series(mpf(0))
-            total = +(mpf(1) / 2 + D * acc)
+            for q in reversed(coeffs):
+                acc = acc * two_pi + _frac_to_mpf(q)
+            total = +(mpf(1) / 2 + acc)
         return make_real(total, ctx)
     value, _bound = _direct_sum(N, eps, ctx)
     return make_real(value, ctx)
@@ -292,20 +257,14 @@ def sinc_integral_ratio(N: int) -> Fraction:
     for 1 <= N <= EXPANSION_LIMIT.
 
     Borwein and Borwein, Ramanujan J. 5 (2001) 73; Baillie, Borwein and
-    Borwein, Amer. Math. Monthly 115 (2008) 888: with m = N+1, P = prod
-    (2k+1) and, for each sign pattern gamma in {+-1}^m, the integer
-    B_gamma = sum gamma_k P/(2k+1) and eps_gamma = prod gamma_k,
-    r = P sum_gamma eps_gamma sgn(B_gamma) B_gamma^(m-1) / (2^(m+1) (m-1)!
-    P^(m-1)).  The summand is even in gamma, so gamma_0 = +1, doubled.
+    Borwein, Amer. Math. Monthly 115 (2008) 888: over the sign patterns of
+    `_sign_patterns`, with m = N+1, r = 2P sum_gamma eps_gamma sgn(B_gamma)
+    B_gamma^(m-1) / (2^(m+1) (m-1)! P^(m-1)), the 2 folding gamma and -gamma.
     """
     if not 1 <= N <= EXPANSION_LIMIT:
         raise DomainError(f"the closed form is evaluated for 1 <= N <= {EXPANSION_LIMIT}")
     m = N + 1
-    P = _odd_double_factorial(N)
-    signed = [(P, 1)]  # (B_gamma, eps_gamma)
-    for k in range(1, m):
-        w = P // (2 * k + 1)
-        signed = [pair for B, e in signed for pair in ((B + w, e), (B - w, -e))]
+    P, signed = _sign_patterns(N)
     # sgn(0) = 0, and B**(m-1) is 0 there as well
     total = sum(e * B ** (m - 1) if B > 0 else -e * B ** (m - 1) for B, e in signed)
     return Fraction(2 * P * total, 2 ** (m + 1) * math.factorial(m - 1) * P ** (m - 1))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import expmath
+from expmath import digit_walks
 from expmath.cli import run
 from expmath.precision import PrecisionContext, parse_decimal
 
@@ -50,6 +51,18 @@ class TestPi:
         assert payload["iterations"] == 4
         assert len(payload["per_iteration_error"]) == 4
         assert payload["value"].startswith("3.14159265358979")
+
+    def test_past_the_int_to_str_limit(self, capsys):
+        # CPython refuses str() of an int past 4300 digits; the rendering
+        # must not go through it
+        assert run(["pi", "--digits", "5000"]) == 0
+        rendered = capsys.readouterr().out.strip().replace(".", "")
+        assert len(rendered) == 5000
+        ctx = PrecisionContext.from_digits(5020)
+        stream = "".join(map(str, digit_walks.digits("pi", 10, 5001, ctx).digits))
+        # the 5001st digit is a 1, so rounding keeps the first 5000 as they are
+        assert stream[5000] == "1"
+        assert rendered == stream[:5000]
 
 
 class TestCn:
@@ -484,6 +497,11 @@ GOLDEN_STDOUT = [
         'rhs,1.57079632679\n'
         'difference,-5.05e-52\n'
         'truncation_bound,1.00e-15\n'
+    ),
+    (
+        'sinc --N 12 --digits 30 --format json',
+        '{"N":12,"difference":"2.35e-57","lhs":"1.57079489608299805769812515681"'
+        ',"rhs":"1.57079489608299805769812515681","truncation_bound":"1.00e-33"}\n'
     ),
     ('threshold --threshold 4/3 --format text', '2\n'),
     ('threshold --threshold 4/3 --format json', '{"n":2,"threshold":"4/3"}\n'),

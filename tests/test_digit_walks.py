@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expmath import digit_walks
+from expmath import digit_walks, precision
 from expmath.precision import DomainError, PrecisionContext, PrecisionError
 
 
@@ -128,9 +128,9 @@ class TestDigitConversion:
     def test_value_inverts_digits(self, n, base):
         m = max(1, math.ceil(n.bit_length() / math.log2(base)))
         out = []
-        digit_walks._radix_digits(n, base, m, out)
+        precision._radix_digits(n, base, m, out)
         assert len(out) == m
-        assert digit_walks._radix_value(out, base) == n
+        assert precision._radix_value(out, base) == n
 
     def test_champernowne_value_against_horner(self):
         value = digit_walks._champernowne_value_bits(7, 3000)

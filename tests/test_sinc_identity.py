@@ -115,12 +115,14 @@ class TestFirstFailure:
 
 class TestRoutes:
     def test_direct_summation_cross_checks_closed_form(self):
-        # the term-by-term route must agree with the exact expansion route
+        # the term-by-term route shares no code with the sign patterns the
+        # closed form is built from
         ctx = PrecisionContext.from_digits(30)
-        closed = sinc_identity.sinc_sum(3, mpf(10) ** -26, ctx)
-        direct = sinc_identity.sinc_sum_direct(3, mpf(10) ** -11, ctx)
-        with mp.workprec(ctx.bits + 16):
-            assert abs(closed.value - direct.value) < mpf(10) ** -10
+        for N, direct_eps_exp, tol_exp in ((3, 11, 10), (12, 25, 24)):
+            closed = sinc_identity.sinc_sum(N, mpf(10) ** -26, ctx)
+            direct = sinc_identity.sinc_sum_direct(N, mpf(10) ** -direct_eps_exp, ctx)
+            with mp.workprec(ctx.bits + 16):
+                assert abs(closed.value - direct.value) < mpf(10) ** -tol_exp, N
 
     def test_direct_route_rejects_unaffordable_eps(self):
         # at N=3 the tail shrinks like M^-3, so 1e-25 needs ~1e8 terms
@@ -187,13 +189,27 @@ class TestClosedFormIntegral:
             sinc_identity.sinc_integral_ratio(N)
 
     def test_matches_the_sum_side(self):
-        # the sum's product-to-sum expansion shares no code with the sign sum
+        # both sides read the same `_sign_patterns` and part there: the sum
+        # through Bernoulli polynomials, the integral through Borwein's sign
+        # sum.  The sum side is checked without the patterns by
+        # TestRoutes::test_direct_summation_cross_checks_closed_form, the
+        # integral side by _sign_sum_ratio (test_matches_the_unscaled_formula).
         ctx = PrecisionContext.from_digits(50)
         for N in range(1, sinc_identity.EXPANSION_LIMIT + 1):
             s = sinc_identity.sinc_sum(N, mpf(10) ** -48, ctx)
             i = sinc_identity.sinc_integral(N, mpf(10) ** -48, ctx)
             with mp.workprec(ctx.bits + 16):
                 assert abs(s.value - i.value) < mpf(10) ** -45, N
+
+    @pytest.mark.parametrize("N", range(1, sinc_identity.EXPANSION_LIMIT + 1))
+    def test_sum_side_is_exact_in_q_pi(self, N):
+        # 1/2 + sum_j q_j (2 pi)^j: the constant and every power of pi past
+        # the first cancel, and what is left is the integral, exactly
+        q = sinc_identity._sum_coefficients(N)
+        assert len(q) == N + 2
+        assert q[0] == Fraction(-1, 2)
+        assert all(c == 0 for c in q[2:])
+        assert 2 * q[1] == sinc_identity.sinc_integral_ratio(N)
 
     def test_makes_no_quadrature_call(self, no_quadrature):
         ctx = PrecisionContext.from_digits(30)
