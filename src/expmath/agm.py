@@ -91,22 +91,22 @@ def agm_states(a, b, ctx: PrecisionContext, *, cubic: bool = False):
     return tuple(_agm_states(av, bv, ctx.bits + 16, stop, cubic))
 
 
-def agm2(a, b, ctx: PrecisionContext) -> BigReal:
-    """Common limit of the classical (quadratic) mean iteration."""
-    states = agm_states(a, b, ctx, cubic=False)
+def _limit(states, ctx: PrecisionContext) -> BigReal:
+    """The common limit read off a trajectory's last state."""
     last = states[-1]
     with mp.workprec(ctx.bits + 16):
         v = +((last.a + last.b) / 2)
     return make_real(v, ctx)
+
+
+def agm2(a, b, ctx: PrecisionContext) -> BigReal:
+    """Common limit of the classical (quadratic) mean iteration."""
+    return _limit(agm_states(a, b, ctx), ctx)
 
 
 def agm3(a, b, ctx: PrecisionContext) -> BigReal:
     """Common limit of the cubic mean iteration."""
-    states = agm_states(a, b, ctx, cubic=True)
-    last = states[-1]
-    with mp.workprec(ctx.bits + 16):
-        v = +((last.a + last.b) / 2)
-    return make_real(v, ctx)
+    return _limit(agm_states(a, b, ctx, cubic=True), ctx)
 
 
 def _gl_approximations(iterations: int, prec: int):

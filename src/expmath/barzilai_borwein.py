@@ -9,6 +9,13 @@ y = grad_k - grad_{k-1}:
 For quadratics F = 1/2 x'Ax both are reciprocals of Rayleigh quotients of A,
 hence bracketed by [1/lambda_max, 1/lambda_min].  Everything here runs in
 machine floats on purpose: this is an optimization method, not digit hunting.
+
+Both methods run one loop, `_descend`, which owns the input and finiteness
+checks, the stop test |grad| <= tol and the trace; each supplies only its move
+and its next gamma.  The two-point move is x - gamma grad, halved against the
+worst recent F under Raydan's (1997) nonmonotone safeguard, and its next gamma
+is the secant formula.  Steepest descent searches the line exactly on a
+quadratic and backtracks otherwise; its gamma is the step it took.
 """
 
 from __future__ import annotations
@@ -48,16 +55,6 @@ class ObjectiveFunction:
     name: str = "objective"
 
 
-@dataclass
-class BBState:
-    """What one step hands the next: point, gradient, step count and step length."""
-
-    x_k: np.ndarray
-    g_k: np.ndarray
-    k: int
-    gamma_k: float
-
-
 @dataclass(frozen=True)
 class MinimizeResult:
     x: np.ndarray
@@ -65,7 +62,6 @@ class MinimizeResult:
     iterations: int
     converged: bool
     trace: tuple  # rows (k, F, grad_norm, gamma)
-    gammas: tuple
 
 
 def bb_step(s: np.ndarray, y: np.ndarray, variant: str = "bb2") -> float:
@@ -92,16 +88,38 @@ def bb_step(s: np.ndarray, y: np.ndarray, variant: str = "bb2") -> float:
     return num / denom
 
 
-def _initial_gamma(g0: np.ndarray) -> float:
-    norm = float(np.linalg.norm(g0))
-    if norm == 0.0:
-        return 1.0
-    return float(np.clip(1.0 / norm, *GAMMA_CLAMP))
-
-
 def _check_finite(label: str, value) -> None:
     if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"{label} became non-finite")
+
+
+def _descend(f, x0, tol, max_iter, first_gamma, move, next_gamma) -> MinimizeResult:
+    """`move(x, F, grad, gamma)` -> (x_new, F_new, step taken); `next_gamma(x, grad,
+    x_new, grad_new, step)` -> the next move's gamma; `first_gamma(|grad|)` -> row 0's."""
+    if not 0 < tol < np.inf:  # also rejects nan
+        raise DomainError("tol must be positive and finite")
+    x = np.array(x0, dtype=float)
+    if x.shape != (f.dimension,):
+        raise DomainError(f"x0 must have dimension {f.dimension}")
+    g = np.asarray(f.gradient(x), dtype=float)
+    _check_finite("gradient", g)
+    fx = float(f.evaluate(x))
+    _check_finite("objective", fx)
+    gnorm = float(np.linalg.norm(g))
+    gamma = first_gamma(gnorm)
+    trace = [(0, fx, gnorm, gamma)]
+    k = 0
+    while gnorm > tol and k < max_iter:
+        x_new, fx, step = move(x, fx, g, gamma)
+        _check_finite("objective", fx)
+        g_new = np.asarray(f.gradient(x_new), dtype=float)
+        _check_finite("gradient", g_new)
+        gamma = next_gamma(x, g, x_new, g_new, step)
+        x, g = x_new, g_new
+        gnorm = float(np.linalg.norm(g))
+        k += 1
+        trace.append((k, fx, gnorm, gamma))
+    return MinimizeResult(x=x, fx=fx, iterations=k, converged=gnorm <= tol, trace=tuple(trace))
 
 
 def bb_minimize(
@@ -123,68 +141,36 @@ def bb_minimize(
     variant = variant.lower()
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if not 0 < tol < np.inf:  # also rejects nan
-        raise DomainError("tol must be positive and finite")
+    other = "bb1" if variant == "bb2" else "bb2"
+    recent = deque(maxlen=_SAFEGUARD_MEMORY)
 
-    x = np.array(x0, dtype=float)
-    if x.shape != (f.dimension,):
-        raise DomainError(f"x0 must have dimension {f.dimension}")
-    g = np.asarray(f.gradient(x), dtype=float)
-    _check_finite("gradient", g)
-    fx = float(f.evaluate(x))
-    _check_finite("objective", fx)
+    def first_gamma(gnorm):
+        return float(np.clip(1.0 / gnorm, *GAMMA_CLAMP)) if gnorm else 1.0
 
-    state = BBState(x_k=x, g_k=g, k=0, gamma_k=_initial_gamma(g))
-    recent = deque([fx], maxlen=_SAFEGUARD_MEMORY)
-    trace = [(0, fx, float(np.linalg.norm(g)), state.gamma_k)]
-    gammas = []
-
-    while True:
-        gnorm = float(np.linalg.norm(state.g_k))
-        if gnorm <= tol:
-            return MinimizeResult(
-                x=state.x_k,
-                fx=float(f.evaluate(state.x_k)),
-                iterations=state.k,
-                converged=True,
-                trace=tuple(trace),
-                gammas=tuple(gammas),
-            )
-        if state.k >= max_iter:
-            return MinimizeResult(
-                x=state.x_k,
-                fx=float(f.evaluate(state.x_k)),
-                iterations=state.k,
-                converged=False,
-                trace=tuple(trace),
-                gammas=tuple(gammas),
-            )
-
-        gamma = state.gamma_k
-        x_new = state.x_k - gamma * state.g_k
+    def move(x, fx, g, gamma):
+        x_new = x - gamma * g
         f_new = float(f.evaluate(x_new))
         if safeguard:
+            recent.append(fx)
+            worst = max(recent)
             halvings = 0
-            while (not np.isfinite(f_new)) or f_new > max(recent):
+            while (not np.isfinite(f_new)) or f_new > worst:
                 halvings += 1
                 if halvings > _SAFEGUARD_HALVINGS:
                     raise DegenerateStepError(
                         "safeguard exhausted its halvings without an acceptable step"
                     )
                 gamma *= 0.5
-                x_new = state.x_k - gamma * state.g_k
+                x_new = x - gamma * g
                 f_new = float(f.evaluate(x_new))
-        _check_finite("objective", f_new)
-        g_new = np.asarray(f.gradient(x_new), dtype=float)
-        _check_finite("gradient", g_new)
-        gammas.append(gamma)
+        return x_new, f_new, gamma
 
-        s = x_new - state.x_k
-        y = g_new - state.g_k
+    def next_gamma(x, g, x_new, g_new, gamma):
+        s = x_new - x
+        y = g_new - g
         try:
             gamma_next = bb_step(s, y, variant)
         except DegenerateStepError:
-            other = "bb1" if variant == "bb2" else "bb2"
             try:
                 gamma_next = bb_step(s, y, other)
             except DegenerateStepError:
@@ -192,16 +178,9 @@ def bb_minimize(
         if not np.isfinite(gamma_next) or gamma_next <= 0:
             # a negative-curvature secant pair: keep moving with the old step
             gamma_next = gamma
-        gamma_next = float(np.clip(gamma_next, *GAMMA_CLAMP))
+        return float(np.clip(gamma_next, *GAMMA_CLAMP))
 
-        state = BBState(
-            x_k=x_new,
-            g_k=g_new,
-            k=state.k + 1,
-            gamma_k=gamma_next,
-        )
-        recent.append(f_new)
-        trace.append((state.k, f_new, float(np.linalg.norm(g_new)), gamma_next))
+    return _descend(f, x0, tol, max_iter, first_gamma, move, next_gamma)
 
 
 def steepest_descent_baseline(
@@ -211,57 +190,29 @@ def steepest_descent_baseline(
     max_iter: int = 100_000,
 ) -> MinimizeResult:
     """Steepest descent: exact line search on quadratics, backtracking otherwise."""
-    if not 0 < tol < np.inf:  # also rejects nan
-        raise DomainError("tol must be positive and finite")
-    x = np.array(x0, dtype=float)
-    if x.shape != (f.dimension,):
-        raise DomainError(f"x0 must have dimension {f.dimension}")
     quadratic = isinstance(f, QuadraticObjective)
-    fx = float(f.evaluate(x))
-    g = np.asarray(f.gradient(x), dtype=float)
-    trace = [(0, fx, float(np.linalg.norm(g)), 0.0)]
-    gammas = []
-    k = 0
-    while True:
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return MinimizeResult(
-                x=x, fx=float(f.evaluate(x)), iterations=k, converged=True,
-                trace=tuple(trace), gammas=tuple(gammas),
-            )
-        if k >= max_iter:
-            return MinimizeResult(
-                x=x, fx=float(f.evaluate(x)), iterations=k, converged=False,
-                trace=tuple(trace), gammas=tuple(gammas),
-            )
+
+    def move(x, fx, g, gamma):
+        slope = float(g @ g)
+        step = 1.0
         if quadratic:
-            Ag = f.matrix @ g
-            denom = float(g @ Ag)
+            denom = float(g @ (f.matrix @ g))
             if denom <= 0:
                 raise DegenerateStepError("non-positive curvature along the gradient")
-            step = float(g @ g) / denom
-            x = x - step * g
-            fx = float(f.evaluate(x))
-        else:
-            step = 1.0
-            fx0 = float(f.evaluate(x))
-            slope = float(g @ g)
-            while True:
-                x_try = x - step * g
-                f_try = float(f.evaluate(x_try))
-                if np.isfinite(f_try) and f_try <= fx0 - 1e-4 * step * slope:
-                    break
-                step *= 0.5
-                if step < 1e-18:
-                    raise DegenerateStepError("backtracking line search collapsed")
-            x = x_try
-            fx = f_try
-        _check_finite("objective", fx)
-        g = np.asarray(f.gradient(x), dtype=float)
-        _check_finite("gradient", g)
-        gammas.append(step)
-        k += 1
-        trace.append((k, fx, float(np.linalg.norm(g)), step))
+            step = slope / denom
+        while True:
+            x_new = x - step * g
+            f_new = float(f.evaluate(x_new))
+            # the exact step on a quadratic; an Armijo decrease otherwise
+            if quadratic or (np.isfinite(f_new) and f_new <= fx - 1e-4 * step * slope):
+                return x_new, f_new, step
+            step *= 0.5
+            if step < 1e-18:
+                raise DegenerateStepError("backtracking line search collapsed")
+
+    return _descend(
+        f, x0, tol, max_iter, lambda gnorm: 0.0, move, lambda x, g, x_new, g_new, step: step
+    )
 
 
 # ---------------------------------------------------------------------------

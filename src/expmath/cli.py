@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 
 from . import agm, bessel_moments, digit_walks, functions
 from . import quadrature, relations, sinc_identity
-from .precision import BigReal, NumericsError, PrecisionContext, parse_decimal
+from .precision import BigReal, NumericsError, PrecisionContext, _from_decimal, parse_decimal
 
 _DEFAULT_DIGITS = 30
 
@@ -95,11 +95,10 @@ def _float_list(text: str):
 
 def _finite_decimal(text: str):
     """`text` as a 64-bit mpf, or None when it is not a finite decimal."""
-    with mp.workprec(64):
-        try:
-            value = mpf(text.strip())
-        except ValueError:
-            return None
+    try:
+        value = _from_decimal(text, 64)
+    except ValueError:
+        return None
     return value if mpmath.isfinite(value) else None
 
 
@@ -356,18 +355,6 @@ def _cmd_threshold(args):
     return _fields([("threshold", label), ("n", n)], lines=[n])
 
 
-def _bb_problem(args):
-    from . import barzilai_borwein
-
-    if args.problem == "random-spd":
-        return barzilai_borwein.random_spd(args.dimension, args.seed)
-    if args.problem == "sphere":
-        return barzilai_borwein.sphere(2)
-    if args.problem == "quad":
-        return barzilai_borwein.diagonal_quadratic([1.0, 100.0])
-    return barzilai_borwein.rosenbrock()
-
-
 _BB_DEFAULT_STARTS = {
     "sphere": [3.0, -4.0],
     "quad": [100.0, 1.0],
@@ -380,7 +367,10 @@ def _cmd_bb(args):
     # of every other subcommand.
     from . import barzilai_borwein
 
-    problem = _bb_problem(args)
+    if args.problem == "random-spd":
+        problem = barzilai_borwein.random_spd(args.dimension, args.seed)
+    else:
+        problem = barzilai_borwein.PROBLEMS[args.problem]()
     x0 = args.x0
     if x0 is None:
         x0 = _BB_DEFAULT_STARTS.get(args.problem, [1.0] * problem.dimension)
@@ -426,9 +416,8 @@ def _cmd_agm(args):
     ctx = PrecisionContext.from_digits(d + 5)
     a = parse_decimal(args.a, ctx)
     b = parse_decimal(args.b, ctx)
-    cubic = args.kind == "3"
-    states = agm.agm_states(a, b, ctx, cubic=cubic)
-    mean = agm.agm3(a, b, ctx) if cubic else agm.agm2(a, b, ctx)
+    states = agm.agm_states(a, b, ctx, cubic=args.kind == "3")
+    mean = agm._limit(states, ctx)
     value = mean.to_decimal(d)
     iterations = states[-1].iteration
     payload = {"kind": int(args.kind), "value": value, "iterations": iterations}

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import agm, functions
 from .precision import (
@@ -31,7 +30,7 @@ from .precision import (
     PrecisionError,
     _radix_digits,
     _radix_value,
-    _to_fraction,
+    _to_ratio,
 )
 
 #: digit value -> unit step (east, north, west, south)
@@ -71,24 +70,25 @@ def _champernowne_digits(construction_base: int, count: int):
     return out[:count]
 
 
-def _champernowne_value_bits(construction_base: int, bits: int) -> Fraction:
-    """Exact truncation of the Champernowne constant, good to `bits` bits."""
+def _champernowne_value_bits(construction_base: int, bits: int) -> tuple:
+    """Exact truncation (p, q) of the Champernowne constant, good to `bits` bits."""
     ndigits = int(bits / math.log2(construction_base)) + 16
     digs = _champernowne_digits(construction_base, ndigits)
-    return Fraction(_radix_value(digs, construction_base), construction_base ** len(digs))
+    return _radix_value(digs, construction_base), construction_base ** len(digs)
 
 
-def _constant_fraction(constant: str, bits: int) -> Fraction:
-    """The constant's value as an exact fraction carrying >= `bits` good bits."""
+def _constant_fraction(constant: str, bits: int) -> tuple:
+    """The constant's value as an exact fraction p/q, carrying >= `bits` good
+    bits: the pair (p, q), not necessarily in lowest terms."""
     ctx = PrecisionContext(max(64, bits + 64), max(1, int(bits * 0.28)))
     if constant == "pi":
-        return _to_fraction(agm.pi_raw(bits + 8))
+        return _to_ratio(agm.pi_raw(bits + 8))
     if constant == "e":
-        return _to_fraction(functions.exp(1, ctx).value)
+        return _to_ratio(functions.exp(1, ctx).value)
     if constant == "gamma":
-        return _to_fraction(functions.euler_gamma(ctx).value)
+        return _to_ratio(functions.euler_gamma(ctx).value)
     if constant == "zeta3":
-        return _to_fraction(functions.zeta3(ctx).value)
+        return _to_ratio(functions.zeta3(ctx).value)
     if constant.startswith("champernowne-"):
         suffix = constant.split("-", 1)[1]
         if not suffix.isdigit() or not 2 <= int(suffix) <= 36:
@@ -124,10 +124,9 @@ def digits(constant: str, base: int, count: int, ctx: PrecisionContext) -> Digit
             constant=constant, base=base, digits=tuple(_champernowne_digits(base, count))
         )
 
-    frac = _constant_fraction(constant, need)
-    if frac < 0:
+    p, q = _constant_fraction(constant, need)
+    if p < 0:
         raise DomainError("digit extraction expects a nonnegative constant")
-    p, q = frac.numerator, frac.denominator
     whole, r = divmod(p, q)
     out = []
     if whole > 0:

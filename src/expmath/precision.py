@@ -6,11 +6,11 @@ each operation sets its own working precision from the context it was handed,
 so identical inputs always produce identical outputs.
 
 Decimal rendering goes through exact integer arithmetic (the binary mantissa
-is converted to a rational and rounded half-to-even at the requested number of
+is scaled by powers of ten and rounded half-to-even at the requested number of
 significant digits, and the rounded mantissa becomes digits by the same radix
 splitting as digit extraction), so rendered strings are reproducible
-bit-for-bit, independent of any formatting library and of CPython's limit on
-int-to-str conversion.
+bit-for-bit, independent of any formatting library.  Parsing matches `mpf(text)`
+bit for bit.  Neither side meets CPython's limit on int/str conversion.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import libmpf
 
 _LOG2_10 = math.log2(10)
 
@@ -139,35 +140,87 @@ def as_mpf(x, ctx: PrecisionContext) -> mpf:
         return x.value
     if isinstance(x, mpf):
         return x
+    if isinstance(x, str):
+        return _from_decimal(x, ctx.bits + 8)
     with mp.workprec(ctx.bits + 8):
         if isinstance(x, Fraction):
             return mpf(x.numerator) / x.denominator
-        if isinstance(x, (int, float, str)):
+        if isinstance(x, (int, float)):
             return mpf(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a real number")
 
 
 def parse_decimal(text: str, ctx: PrecisionContext) -> BigReal:
     """Parse a decimal string at the context's working precision."""
-    with mp.workprec(ctx.bits + 8):
-        v = mpf(text.strip())
-    return make_real(v, ctx)
+    return make_real(_from_decimal(text, ctx.bits + 8), ctx)
 
 
-def _to_fraction(x: mpf) -> Fraction:
+def _from_decimal(text: str, prec: int) -> mpf:
+    """`mpf(text)` at `prec` bits, rounded to nearest, for text of any length.
+
+    mpmath's `from_str` step by step, with its `int(str)` replaced by
+    `_decimal_int`, which CPython's 4300-digit limit does not reach.  Raises
+    ValueError on text that is not a decimal, a fraction p/q, inf or nan.
+    """
+    x = text.lower().strip()
+    if x in libmpf.special_str:
+        return mp.make_mpf(libmpf.special_str[x])
+    if "/" in x:
+        p, q = x.split("/")
+        raw = libmpf.from_rational(_decimal_int(p.rstrip("l")), _decimal_int(q.rstrip("l")),
+                                   prec, libmpf.round_nearest)
+        return mp.make_mpf(raw)
+    x = x.rstrip("l")
+    float(x)  # the literal syntax of a Python float, as from_str checks it
+    exp = 0
+    if "e" in x:
+        x, e = x.split("e")
+        exp = _decimal_int(e)
+    if "." in x:
+        a, b = x.split(".")
+        b = b.rstrip("0")
+        exp -= len(b)
+        x = a + b
+    man = _decimal_int(x)
+    if abs(exp) > 400:
+        raw = libmpf.mpf_mul(libmpf.from_int(man, prec + 10),
+                             libmpf.mpf_pow_int(libmpf.ften, exp, prec + 10),
+                             prec, libmpf.round_nearest)
+    elif exp >= 0:
+        raw = libmpf.from_int(man * 10**exp, prec, libmpf.round_nearest)
+    else:
+        raw = libmpf.from_rational(man, 10**-exp, prec, libmpf.round_nearest)
+    return mp.make_mpf(raw)
+
+
+def _decimal_int(text: str) -> int:
+    """int(text) with no length limit: long text splits in halves."""
+    m = len(text)
+    if m <= _DECIMAL_LEAF:
+        return int(text)
+    h = m // 2
+    return _decimal_int(text[: m - h]) * _radix_power(10, h) + _decimal_int(text[m - h :])
+
+
+def _to_ratio(x: mpf) -> tuple:
+    """(p, q) with x = p/q exactly and q a power of two.
+
+    The mantissa of a normalised mpf is odd, so p/q is in lowest terms
+    without a gcd (which would cost as much as the rest of a long digit
+    extraction).
+    """
     sign, man, exp, _ = x._mpf_
     if man == 0:
         raise ValueError("not a finite nonzero value")
-    frac = Fraction(man)
-    if exp >= 0:
-        frac *= Fraction(2) ** exp
-    else:
-        frac /= Fraction(2) ** (-exp)
-    return -frac if sign else frac
+    if sign:
+        man = -man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
 #: Digit runs this short are converted by plain divmod, longer ones split.
 _RADIX_LEAF = 32
+#: Decimal text this short goes to int() whole, under CPython's 4300-digit limit.
+_DECIMAL_LEAF = 4000
 
 
 @lru_cache(maxsize=256)
@@ -219,24 +272,30 @@ def render_decimal(x: mpf, digits: int) -> str:
         raise ValueError(f"cannot render non-finite value {x!r}")
     if x == 0:
         return "0"
-    frac = _to_fraction(x)
-    negative = frac < 0
-    if negative:
-        frac = -frac
+    negative, man, exp, bc = x._mpf_
     # Decimal exponent e with 10^e <= |x| < 10^(e+1): float estimate, then
     # exact correction (the estimate can be off by one near powers of ten).
-    sign_, man, exp, bc = x._mpf_
+    # With that e, num/den = |x| 10^(digits-1-e) lies in [10^(digits-1), 10^digits),
+    # and so does its floor q.
     e = math.floor((bc + exp - 1) / _LOG2_10)
-    while frac >= Fraction(10) ** (e + 1):
-        e += 1
-    while frac < Fraction(10) ** e:
-        e -= 1
-    scaled = frac * Fraction(10) ** (digits - 1 - e)
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    double_rem = 2 * r
-    if double_rem > scaled.denominator or (double_rem == scaled.denominator and q % 2 == 1):
-        q += 1
     top = 10 ** digits
+    while True:
+        k = digits - 1 - e
+        num, den = man * 10 ** max(k, 0), 10 ** max(-k, 0)
+        if exp >= 0:
+            num <<= exp
+        else:
+            den <<= -exp
+        q, r = divmod(num, den)
+        if q >= top:
+            e += 1
+        elif 10 * q < top:
+            e -= 1
+        else:
+            break
+    double_rem = 2 * r
+    if double_rem > den or (double_rem == den and q % 2 == 1):
+        q += 1
     if q == top:  # rounding rippled through every digit (…999 -> …000)
         q //= 10
         e += 1

@@ -41,7 +41,7 @@ from .precision import (
     DomainError,
     PrecisionContext,
     PrecisionError,
-    _to_fraction,
+    _to_ratio,
     as_mpf,
     make_real,
 )
@@ -366,7 +366,7 @@ def threshold_scan(threshold, ctx: PrecisionContext) -> int:
     thr = threshold if isinstance(threshold, Fraction) else as_mpf(threshold, ctx)
     if not 1 < thr < math.inf:
         raise DomainError("threshold must be finite and exceed 1 (the first term)")
-    exact = thr if isinstance(thr, Fraction) else _to_fraction(thr)
+    exact = thr if isinstance(thr, Fraction) else Fraction(*_to_ratio(thr))
     with mp.workprec(64):
         t = _frac_to_mpf(exact)
         n_bits = int((2 * t - _GAMMA_ESTIMATE - mpmath.ln(4)) / mpmath.ln(2)) + 2

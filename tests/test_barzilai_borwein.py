@@ -180,6 +180,14 @@ class TestMinimization:
         assert result.converged
         assert result.iterations == 731
 
+    def test_steepest_descent_backtracking_anchor(self):
+        # Rosenbrock is no QuadraticObjective, so each step backtracks from 1
+        # until the Armijo decrease holds; deterministic like the anchor above
+        result = bb.steepest_descent_baseline(bb.rosenbrock(), [-1.2, 1.0], 1e-2)
+        assert result.converged
+        assert result.iterations == 2435
+        assert result.fx == 6.196441487361928e-05
+
     def test_scale_equivariance_of_iterates(self):
         # scaling F by 4 scales gradients by 4 and every gamma by 1/4; with
         # a power-of-two factor the float iterates are bit-identical
@@ -233,6 +241,16 @@ class TestMinimization:
         )
         with pytest.raises(bb.NonFiniteError):
             bb.bb_minimize(broken, [1.0], tol=1e-8)
+
+    def test_steepest_descent_checks_its_start_point(self):
+        broken = bb.ObjectiveFunction(
+            dimension=1,
+            evaluate=lambda x: float(x[0] ** 2),
+            gradient=lambda x: np.array([float("nan")]),
+            name="broken-gradient",
+        )
+        with pytest.raises(bb.NonFiniteError):
+            bb.steepest_descent_baseline(broken, [1.0], tol=1e-8)
 
 
 class TestProblemLibrary:

@@ -201,6 +201,12 @@ class TestRecognize:
         assert top["rendering"] == "2*exp(-2*gamma)"
         assert top["coefficients"] == [1, 0, 0, -2, 0, 0]
 
+    def test_value_past_the_int_to_str_limit(self, capsys):
+        # 5000 ones after the point: a finite decimal, and 1/9 to every digit asked
+        assert run(["recognize", "--value", "0." + "1" * 5000]) == 0
+        top = json.loads(capsys.readouterr().out)["matches"][0]
+        assert top["rendering"] == "1/9"
+
     def test_list_basis(self, capsys):
         assert run(["recognize", "--list-basis"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from expmath.precision import (
     BigReal,
     DomainError,
     PrecisionContext,
+    _from_decimal,
+    _to_ratio,
     as_mpf,
     make_real,
     parse_decimal,
@@ -105,6 +108,34 @@ class TestParsingAndCoercion:
         a = parse_decimal("1.5e-3", ctx)
         b = parse_decimal("0.0015", ctx)
         assert a.value == b.value
+
+    # exponents up to three digits reach from_str's large-exponent branch (|exp| > 400)
+    @given(
+        text=st.from_regex(
+            r"[+-]?([0-9]{1,40}(\.[0-9]{0,40})?|\.[0-9]{1,40})([eE][+-]?[0-9]{1,3})?",
+            fullmatch=True,
+        ),
+        bits=st.sampled_from([53, 64, 113, 200, 400]),
+    )
+    def test_parser_is_bit_identical_to_mpf(self, text, bits):
+        try:
+            with mp.workprec(bits):
+                expected = mpf(text)._mpf_
+        except ValueError:  # mpmath turns down a few float literals, such as ".0"
+            with pytest.raises(ValueError):
+                _from_decimal(text, bits)
+            return
+        assert _from_decimal(text, bits)._mpf_ == expected
+
+    def test_parse_past_the_int_to_str_limit(self):
+        # CPython's int(str) stops at 4300 digits; 0.1...1 with 5000 ones is
+        # (10^5000 - 1) / (9 * 10^5000) exactly
+        ctx = PrecisionContext.from_digits(50)
+        v = parse_decimal("0." + "1" * 5000, ctx).value
+        exact = Fraction(10**5000 - 1, 9 * 10**5000)
+        _, man, exp, bc = v._mpf_
+        ulp = Fraction(2) ** (bc + exp - (ctx.bits + 8))
+        assert abs(Fraction(*_to_ratio(v)) - exact) <= ulp
 
     def test_as_mpf_accepts_fraction(self):
         ctx = PrecisionContext.from_digits(30)
