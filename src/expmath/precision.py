@@ -159,7 +159,7 @@ def _from_decimal(text: str, prec: int) -> mpf:
     """`mpf(text)` at `prec` bits, rounded to nearest, for text of any length.
 
     mpmath's `from_str` step by step, with its `int(str)` replaced by
-    `_decimal_int`, which CPython's 4300-digit limit does not reach.  Raises
+    `_int`, which CPython's 4300-digit limit does not reach.  Raises
     ValueError on text that is not a decimal, a fraction p/q, inf or nan.
     """
     x = text.lower().strip()
@@ -167,7 +167,7 @@ def _from_decimal(text: str, prec: int) -> mpf:
         return mp.make_mpf(libmpf.special_str[x])
     if "/" in x:
         p, q = x.split("/")
-        raw = libmpf.from_rational(_decimal_int(p.rstrip("l")), _decimal_int(q.rstrip("l")),
+        raw = libmpf.from_rational(_int(p.rstrip("l")), _int(q.rstrip("l")),
                                    prec, libmpf.round_nearest)
         return mp.make_mpf(raw)
     x = x.rstrip("l")
@@ -175,13 +175,13 @@ def _from_decimal(text: str, prec: int) -> mpf:
     exp = 0
     if "e" in x:
         x, e = x.split("e")
-        exp = _decimal_int(e)
+        exp = _int(e)
     if "." in x:
         a, b = x.split(".")
         b = b.rstrip("0")
         exp -= len(b)
         x = a + b
-    man = _decimal_int(x)
+    man = _int(x)
     if abs(exp) > 400:
         raw = libmpf.mpf_mul(libmpf.from_int(man, prec + 10),
                              libmpf.mpf_pow_int(libmpf.ften, exp, prec + 10),
@@ -193,13 +193,13 @@ def _from_decimal(text: str, prec: int) -> mpf:
     return mp.make_mpf(raw)
 
 
-def _decimal_int(text: str) -> int:
-    """int(text) with no length limit: long text splits in halves."""
-    m = len(text)
-    if m <= _DECIMAL_LEAF:
+def _int(text: str) -> int:
+    """int(text) with no length limit; all but signed ASCII digits go to int()."""
+    digs = text.lstrip("+-")
+    if len(text) - len(digs) > 1 or not (digs.isascii() and digs.isdigit()):
         return int(text)
-    h = m // 2
-    return _decimal_int(text[: m - h]) * _radix_power(10, h) + _decimal_int(text[m - h :])
+    n = _radix_value([ord(c) - 48 for c in digs], 10)
+    return -n if text[:1] == "-" else n
 
 
 def _to_ratio(x: mpf) -> tuple:
@@ -219,8 +219,6 @@ def _to_ratio(x: mpf) -> tuple:
 
 #: Digit runs this short are converted by plain divmod, longer ones split.
 _RADIX_LEAF = 32
-#: Decimal text this short goes to int() whole, under CPython's 4300-digit limit.
-_DECIMAL_LEAF = 4000
 
 
 @lru_cache(maxsize=256)

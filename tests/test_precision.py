@@ -137,6 +137,27 @@ class TestParsingAndCoercion:
         ulp = Fraction(2) ** (bc + exp - (ctx.bits + 8))
         assert abs(Fraction(*_to_ratio(v)) - exact) <= ulp
 
+    @pytest.mark.parametrize(
+        "digits",
+        [
+            "0." + "1" * 5000,
+            # the leading half of the mantissa text is all zeros
+            "0." + "0" * 2600 + "1" * 2500,
+            "1" * 2600 + "." + "7" * 2500 + "3",
+            "1" * 5000 + "/" + "3" * 4999,
+        ],
+        ids=["ones", "zero-half", "mixed", "ratio"],
+    )
+    def test_long_negative_text_is_the_exact_negation(self, digits):
+        # at 40,000 bits a wrong low half of a 5000-digit mantissa would show
+        ctx = PrecisionContext(bits=40000, target_digits=10000)
+        pos = parse_decimal(digits, ctx).value
+        neg = parse_decimal("-" + digits, ctx).value
+        # the same mantissa and exponent, the sign bit set
+        assert pos._mpf_[0] == 0 and pos._mpf_[1] > 0
+        assert neg._mpf_ == (1,) + pos._mpf_[1:]
+        assert parse_decimal("+" + digits, ctx).value._mpf_ == pos._mpf_
+
     def test_as_mpf_accepts_fraction(self):
         ctx = PrecisionContext.from_digits(30)
         v = as_mpf(Fraction(1, 3), ctx)
