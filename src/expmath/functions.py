@@ -20,8 +20,9 @@ vs. asymptotic), which the test suite exploits as cross-checks:
   integers (a few guard bits past the working precision) and takes gamma
   from one build per precision, rounded to each call's working precision.
 
-The gamma and zeta(3) series also run on integers scaled by 2^fp, by their
-integer term ratios, so that no step multiplies two big numbers:
+The gamma, zeta(3) and 2F1 series also run on integers scaled by 2^fp, by
+their integer term ratios; for gamma and zeta(3) no step multiplies two big
+numbers:
 
 * gamma: u_k = u_{k-1} n^2 // k^2 and v_k = u_k H_k = v_{k-1} n^2 // k^2 +
   u_k // k, summed into B and A, with fp = prec + 32 + 2 bits(n) + 5.  A
@@ -38,6 +39,17 @@ integer term ratios, so that no step multiplies two big numbers:
   bits(prec) + 4.  The ratio is below 1/4, so each t_n is within 4/3 ulp,
   and the N ~ fp/2 terms summed until t_n = 0 leave (5/2) sum within 4N <
   2^(bits(prec)+2) ulps: under 2^-(prec+18), returned at prec + 16 bits.
+* 2F1(a, b; c; z): z = m 2^e exactly, from its mpf, and |t_{k+1}| =
+  |t_k| |(a+k)(b+k) m| // (|(c+k)(k+1)| 2^-e), the sign kept apart, from
+  t_0 = 2^fp until a term floors to 0 (a zero factor included).  Each step
+  also multiplies by m, a big number.  fp = prec + 16 + 2 log2 K for the K ~
+  prec ln 2 / -ln|z| terms estimated.  A floor is under one ulp and is
+  carried on scaled like the terms, so t_k is within |t_k| sum_{j<=k} 1/|t_j|
+  ulps.  Past max(0, -a, -b, -c) the terms rise at most once and then fall,
+  so that is under (k+1) max(1, |t_k|) ulps, and the sum, with its tail
+  below an ulp dropped, is within about 2K^2 max|t_k| ulps: 2^-(prec+15) of
+  the largest term.  `hyp2f1` reads the loss log2(max|t_k| / |sum|) off the
+  sum and redoes it that many bits wider if it exceeds 4 bits.
 """
 
 from __future__ import annotations
@@ -318,79 +330,41 @@ def _as_fraction(x) -> Fraction:
     )
 
 
-#: Bits of the guard band that cancellation in `hyp2f1` may use up before
-#: the sum is redone at a wider precision.
+#: Bits of cancellation, log2(largest |term| / |sum|), that `hyp2f1` lets
+#: its guard band absorb before it redoes the sum that many bits wider.
 _HYP2F1_SLACK_BITS = 4
 
 #: `hyp2f1` refuses a series estimated to need more terms than this, about
-#: 4 s of summing; at 30 digits the cap falls near z = 0.9995.
+#: 0.3 s of summing; at 30 digits the cap falls near z = 0.9995.
 _HYP2F1_TERM_CAP = 200_000
 
 
-def _hyp2f1_peak_bits(a: Fraction, b: Fraction, c: Fraction, az: float) -> int:
-    """log2 of the largest |term| of the 2F1 series (at least 0, the first
-    term being 1), from the series' integer term ratios, summed in log2.
+def _hyp2f1_sum(fa: Fraction, fb: Fraction, fc: Fraction, z: mpf, fp: int) -> tuple:
+    """(sum, largest |term|) of the 2F1 series on integers scaled by 2^fp.
 
-    Once k passes max(-a, -b, -c) no factor changes sign, and the term ratio
-    exceeds 1 only between the roots of
-    (|z| - 1) k^2 + (|z|(a + b) - c - 1) k + |z| ab - c,
-    so the peak lies at or before the larger of these two points.
+    0 <= z < 1 (`hyp2f1` sums negative z by Pfaff), and z = m 2^e is taken
+    exactly from the mpf; see the module docstring.
     """
-    if az == 0:
-        return 0
-    fa, fb, fc = float(a), float(b), float(c)
-    qa = az - 1.0
-    qb = az * (fa + fb) - fc - 1.0
-    disc = qb * qb - 4.0 * qa * (az * fa * fb - fc)
-    k_end = max(0.0, -fa, -fb, -fc)
-    if disc > 0:
-        k_end = max(k_end, (-qb - math.sqrt(disc)) / (2.0 * qa))
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
-    cn, cd = c.numerator, c.denominator
-    log_z = math.log2(az)
-    log_term = peak = 0.0
-    for k in range(int(k_end) + 2):
-        p = abs((an + k * ad) * (bn + k * bd) * cd)
-        if p == 0:
-            break  # terminating series
-        log_term += math.log2(p) - math.log2(abs((cn + k * cd) * (k + 1) * ad * bd)) + log_z
-        peak = max(peak, log_term)
-    return math.ceil(peak)
-
-
-def _hyp2f1_sum(fa: Fraction, fb: Fraction, fc: Fraction, zv: mpf, wp: int) -> mpf:
+    _, m, e, _ = z._mpf_
     an, ad = fa.numerator, fa.denominator
     bn, bd = fb.numerator, fb.denominator
     cn, cd = fc.numerator, fc.denominator
-    with mp.workprec(wp):
-        term = mpf(1)
-        acc = mpf(1)
-        floor_shift = -(mp.prec + 6)
-        small_streak = 0
-        k = 0
-        while True:
-            p = (an + k * ad) * (bn + k * bd) * cd
-            q = (cn + k * cd) * (k + 1) * ad * bd
-            if p == 0:
-                break  # terminating (polynomial) case
-            term = term * p / q * zv
-            acc += term
-            k += 1
-            if abs(term) < mpmath.ldexp(max(abs(acc), mpf(1)), floor_shift):
-                small_streak += 1
-                if small_streak >= 3:
-                    break
-            else:
-                small_streak = 0
-            if k > 20_000_000:
-                raise ConvergenceError("2F1 series did not converge (z too close to 1)")
-        return +acc
-
-
-def _bits_below_one(x: mpf, wp: int) -> int:
-    """log2(1/|x|) rounded down, at least 0; `wp` (all bits lost) for 0."""
-    return max(0, -int(mpmath.mag(x))) if x else wp
+    t = acc = peak = 1 << fp  # t is |term|; `negative` is its sign
+    negative = False
+    k = 0
+    while t:
+        p = (an + k * ad) * (bn + k * bd) * cd * m
+        q = (cn + k * cd) * (k + 1) * ad * bd
+        if (p < 0) != (q < 0):
+            negative = not negative
+        t = t * abs(p) // (abs(q) << -e)
+        acc += -t if negative else t
+        if t > peak:
+            peak = t
+        k += 1
+        if k > 20_000_000:
+            raise ConvergenceError("2F1 series did not converge (z too close to 1)")
+    return acc, peak
 
 
 def hyp2f1(a, b, c, z, ctx: PrecisionContext) -> BigReal:
@@ -401,13 +375,13 @@ def hyp2f1(a, b, c, z, ctx: PrecisionContext) -> BigReal:
     z < 0 the Pfaff transformation (DLMF 15.8.1)
     2F1(a, b; c; z) = (1-z)^-a 2F1(a, c-b; c; z/(z-1)) sums a series in
     w = z/(z-1), which lies in (0, 1/2), instead of the alternating one in z.
-    When terms can still differ in sign (a negative parameter) the sum can
-    be far smaller than its largest term, so it is carried log2(largest
-    term) bits wider, and redone once log2(1/|sum|) bits wider still when
-    |sum| < 2^-4.  If the redone sum is smaller again by more than that
-    margin, the bits it was given did not suffice: PrecisionError.  A
-    series estimated to need more than _HYP2F1_TERM_CAP terms (z near 1)
-    raises ConvergenceError before any summing.
+    The series is summed on fixed-point integers (see the module docstring).
+    Terms of both signs (a negative parameter) can cancel far below the
+    largest of them: if the loss log2(largest |term| / |sum|) that the sum
+    shows exceeds _HYP2F1_SLACK_BITS, it is redone that many bits wider, and
+    a redone sum that loses more again (a zero sum included) raises
+    PrecisionError.  A series estimated to need more than _HYP2F1_TERM_CAP
+    terms (z near 1) raises ConvergenceError before any summing.
     """
     fa, fb, fc = _as_fraction(a), _as_fraction(b), _as_fraction(c)
     if fc.denominator == 1 and fc <= 0:
@@ -430,32 +404,29 @@ def hyp2f1(a, b, c, z, ctx: PrecisionContext) -> BigReal:
             f"2F1 series at z = {mpmath.nstr(zv, 8)} would need ~{est_terms:.3g} > "
             f"{_HYP2F1_TERM_CAP} terms (z too close to 1)"
         )
-    wp = ctx_bits + 16 + int(math.log2(est_terms + 4))
+    wp = ctx_bits + 16 + 2 * int(math.log2(est_terms + 4))
 
-    def series(prec: int) -> mpf:
-        if not pfaff:
-            return _hyp2f1_sum(fa, fb, fc, zv, prec)
-        with mp.workprec(prec):
-            w = zv / (zv - 1)
-        return _hyp2f1_sum(fa, fb, fc, w, prec)
+    def series(prec: int) -> tuple:
+        w = zv
+        if pfaff:
+            with mp.workprec(prec):
+                w = zv / (zv - 1)
+        acc, peak = _hyp2f1_sum(fa, fb, fc, w, prec)
+        return acc, peak.bit_length() - abs(acc).bit_length()
 
-    if fa < 0 or fb < 0 or fc < 0:
-        wp += _hyp2f1_peak_bits(fa, fb, fc, az)
-        acc = series(wp)
-        small = _bits_below_one(acc, wp)
-        if small > _HYP2F1_SLACK_BITS:
-            wp += small
-            acc = series(wp)
-            if _bits_below_one(acc, wp) > small + _HYP2F1_SLACK_BITS:
-                raise PrecisionError(
-                    f"2F1 terms cancel by more than the {small} bits the redone sum was given"
-                )
-    else:
-        acc = series(wp)
-    if pfaff:
-        with mp.workprec(wp):
-            acc = +(acc * (1 - zv) ** -(mpf(fa.numerator) / fa.denominator))
-    return make_real(acc, ctx)
+    acc, loss = series(wp)
+    if loss > _HYP2F1_SLACK_BITS:
+        wp += loss
+        acc, redo_loss = series(wp)
+        if redo_loss > loss + _HYP2F1_SLACK_BITS:
+            raise PrecisionError(
+                f"2F1 terms cancel by more than the {loss} bits the redone sum was given"
+            )
+    with mp.workprec(wp):
+        v = mpf(from_man_exp(acc, -wp))
+        if pfaff:
+            v *= (1 - zv) ** -(mpf(fa.numerator) / fa.denominator)
+    return make_real(v, ctx)
 
 
 def exp(x, ctx: PrecisionContext) -> BigReal:

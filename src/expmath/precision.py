@@ -159,8 +159,10 @@ def _from_decimal(text: str, prec: int) -> mpf:
     """`mpf(text)` at `prec` bits, rounded to nearest, for text of any length.
 
     mpmath's `from_str` step by step, with its `int(str)` replaced by
-    `_int`, which CPython's 4300-digit limit does not reach.  Raises
-    ValueError on text that is not a decimal, a fraction p/q, inf or nan.
+    `_int`, which CPython's 4300-digit limit does not reach.  Unlike
+    `from_str`, it reads a decimal as `float` does: underscores are dropped
+    and an empty integer part (".0") is 0.  Raises ValueError on text that
+    is not a decimal, a fraction p/q, inf or nan.
     """
     x = text.lower().strip()
     if x in libmpf.special_str:
@@ -172,6 +174,7 @@ def _from_decimal(text: str, prec: int) -> mpf:
         return mp.make_mpf(raw)
     x = x.rstrip("l")
     float(x)  # the literal syntax of a Python float, as from_str checks it
+    x = x.replace("_", "")  # from_str would count one after "." as a digit
     exp = 0
     if "e" in x:
         x, e = x.split("e")
@@ -181,7 +184,7 @@ def _from_decimal(text: str, prec: int) -> mpf:
         b = b.rstrip("0")
         exp -= len(b)
         x = a + b
-    man = _int(x)
+    man = _int(x) if x.lstrip("+-") else 0  # ".0" has no integer part
     if abs(exp) > 400:
         raw = libmpf.mpf_mul(libmpf.from_int(man, prec + 10),
                              libmpf.mpf_pow_int(libmpf.ften, exp, prec + 10),

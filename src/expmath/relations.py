@@ -329,10 +329,16 @@ def recognize(value, basis, precision_digits: int):
     Scans subsets of the basis smallest-first, keeps integer relations in
     which the value itself participates, re-verifies every candidate with
     the basis regenerated at precision_digits + 20, and returns matches
-    sorted by (residual, coefficient norm).  Empty list when nothing passes.
+    sorted by (residual, coefficient norm).  A match's residual must lie
+    below 10^-(precision_digits - SAFETY_DIGITS) and, for its nonzero
+    coefficients m_i, satisfy -log10(residual) >= sum log10|m_i| +
+    SAFETY_DIGITS.  Empty list when nothing passes; PrecisionError when the
+    value or a basis value carries too few bits for precision_digits.
     """
     ctx = PrecisionContext.from_digits(precision_digits + 10)
     target = value if isinstance(value, BigReal) else make_real(as_mpf(value, ctx), ctx)
+    # too coarse an input is an error, not a scan in which every subset fails
+    _coerce_values([target] + [b.value for b in basis], precision_digits)
     sharp_ctx = PrecisionContext.from_digits(precision_digits + 30)
     sharp = {b.name: b.at(sharp_ctx) for b in basis}
 
@@ -363,7 +369,11 @@ def recognize(value, basis, precision_digits: int):
                         + [mpf(c) * sharp[b.name].value for c, b in zip(key[1:], basis)]
                     )
                 )
-                ok = resid < mpf(10) ** (-(precision_digits - SAFETY_DIGITS))
+                # any values admit chance relations with residuals of roughly
+                # 1/prod|m_i| (pigeonhole); a match must beat that by SAFETY
+                ok = resid < mpf(10) ** (-(precision_digits - SAFETY_DIGITS)) and (
+                    resid * math.prod(abs(c) for c in key if c) * 10 ** SAFETY_DIGITS <= 1
+                )
                 resid = +resid
             if ok:
                 found[key] = resid

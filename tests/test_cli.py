@@ -207,6 +207,12 @@ class TestRecognize:
         top = json.loads(capsys.readouterr().out)["matches"][0]
         assert top["rendering"] == "1/9"
 
+    def test_value_with_an_underscore(self, capsys):
+        # read as float reads it, 0.15, not as 0.015
+        assert run(["recognize", "--value", "0.1_5", "--digits", "15"]) == 0
+        top = json.loads(capsys.readouterr().out)["matches"][0]
+        assert top["rendering"] == "3/20"
+
     def test_list_basis(self, capsys):
         assert run(["recognize", "--list-basis"]) == 0
         payload = json.loads(capsys.readouterr().out)

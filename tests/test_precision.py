@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from expmath.precision import (
     BigReal,
@@ -109,22 +110,25 @@ class TestParsingAndCoercion:
         b = parse_decimal("0.0015", ctx)
         assert a.value == b.value
 
-    # exponents up to three digits reach from_str's large-exponent branch (|exp| > 400)
+    # exponents up to three digits reach from_str's large-exponent branch
+    # (|exp| > 400); underscores go between digits, as a float literal has them
     @given(
         text=st.from_regex(
-            r"[+-]?([0-9]{1,40}(\.[0-9]{0,40})?|\.[0-9]{1,40})([eE][+-]?[0-9]{1,3})?",
+            r"[+-]?(D(\.(D)?)?|\.D)([eE][+-]?[0-9](_?[0-9]){0,2})?".replace(
+                "D", "[0-9](_?[0-9]){0,39}"
+            ),
             fullmatch=True,
         ),
         bits=st.sampled_from([53, 64, 113, 200, 400]),
     )
     def test_parser_is_bit_identical_to_mpf(self, text, bits):
+        plain = text.replace("_", "")  # mpmath counts one after "." as a digit
         try:
             with mp.workprec(bits):
-                expected = mpf(text)._mpf_
+                expected = mpf(plain)._mpf_
         except ValueError:  # mpmath turns down a few float literals, such as ".0"
-            with pytest.raises(ValueError):
-                _from_decimal(text, bits)
-            return
+            exact = Fraction(plain)
+            expected = from_rational(exact.numerator, exact.denominator, bits, round_nearest)
         assert _from_decimal(text, bits)._mpf_ == expected
 
     def test_parse_past_the_int_to_str_limit(self):

@@ -8,6 +8,7 @@ from expmath import bessel_moments, functions, relations
 from expmath.precision import (
     DomainError,
     PrecisionContext,
+    PrecisionError,
     make_real,
     parse_decimal,
 )
@@ -187,11 +188,21 @@ class TestRecognize:
         assert matches[0].coefficients == (2, -1)
         assert matches[0].rendering == "1/2"
 
-    def test_random_control_finds_nothing(self):
+    # below 45 digits, chance relations with coefficients up to ~10^5 fit a
+    # residual of 10^-(digits - SAFETY_DIGITS); their size must be paid for
+    @pytest.mark.parametrize("digits", [30, 35, 40, 45])
+    def test_random_control_finds_nothing(self, digits):
         ctx = PrecisionContext.from_digits(60)
         value = parse_decimal(RANDOM_CONTROL, ctx)
         basis = relations.default_basis(ctx)
-        assert relations.recognize(value, basis, 45) == []
+        assert relations.recognize(value, basis, digits) == []
+
+    def test_too_coarse_a_value_is_an_error(self):
+        # 104 bits cannot answer for 50 digits, whatever the subset
+        value = parse_decimal(CINF_50, PrecisionContext.from_digits(20))
+        basis = relations.default_basis(PrecisionContext.from_digits(60))
+        with pytest.raises(PrecisionError):
+            relations.recognize(value, basis, 50)
 
     def test_matches_sorted_by_residual_then_size(self):
         ctx = PrecisionContext.from_digits(60)
