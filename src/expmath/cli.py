@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -87,10 +88,16 @@ def _size_spec(text: str):
 
 
 def _float_list(text: str):
+    """Parse --x0: comma-separated finite numbers."""
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers") from None
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"--x0 takes a comma-separated list of finite numbers, got {text!r}"
+        )
+    return values
 
 
 def _finite_decimal(text: str):

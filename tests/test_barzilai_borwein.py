@@ -1,7 +1,12 @@
 """Two-point step-size gradient methods and their bundled test problems."""
 
+import math
+import warnings
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expmath import barzilai_borwein as bb
 from expmath.precision import DomainError
@@ -251,6 +256,167 @@ class TestMinimization:
         )
         with pytest.raises(bb.NonFiniteError):
             bb.steepest_descent_baseline(broken, [1.0], tol=1e-8)
+
+
+def _reference_run(A, b, x0, tol, max_iter, method):
+    """The descent loop as plain arithmetic: F and grad F formed separately,
+    |grad| by np.linalg.norm, the secant formulas and Raydan's safeguard
+    (memory 10, at most 30 halvings) written out.  `method` is "sd", "bb1",
+    "bb2", or either of the latter with "+safeguard"."""
+    variant, _, guard = method.partition("+")
+    other = {"bb1": "bb2", "bb2": "bb1"}.get(variant)
+
+    def F(x):
+        return float(0.5 * x @ (A @ x) - b @ x)
+
+    def secant(s, y, v):  # None where the formula's denominator vanishes
+        if v == "bb2":
+            num, den = float(s @ y), float(y @ y)
+        else:
+            num, den = float(s @ s), float(s @ y)
+            if num == 0.0:
+                return None
+        return None if den == 0.0 or not np.isfinite(den) else num / den
+
+    x = np.array(x0, dtype=float)
+    g = A @ x - b
+    fx = F(x)
+    gnorm = float(np.linalg.norm(g))
+    if variant == "sd":
+        gamma = 0.0
+    else:
+        gamma = float(np.clip(1.0 / gnorm, *bb.GAMMA_CLAMP)) if gnorm else 1.0
+    trace = [(0, fx, gnorm, gamma)]
+    recent = deque(maxlen=10)
+    k = 0
+    while gnorm > tol and k < max_iter:
+        if variant == "sd":
+            step = float(g @ g) / float(g @ (A @ g))
+            x_new = x - step * g
+            fx = F(x_new)
+            gamma = step
+            g_new = A @ x_new - b
+        else:
+            x_new = x - gamma * g
+            f_new = F(x_new)
+            if guard:
+                recent.append(fx)
+                halvings = 0
+                while not np.isfinite(f_new) or f_new > max(recent):
+                    halvings += 1
+                    assert halvings <= 30
+                    gamma *= 0.5
+                    x_new = x - gamma * g
+                    f_new = F(x_new)
+            fx = f_new
+            g_new = A @ x_new - b
+            s, y = x_new - x, g_new - g
+            gamma_next = secant(s, y, variant)
+            if gamma_next is None:
+                gamma_next = secant(s, y, other)
+            if gamma_next is None or not np.isfinite(gamma_next) or gamma_next <= 0:
+                gamma_next = gamma
+            gamma = float(np.clip(gamma_next, *bb.GAMMA_CLAMP))
+        assert np.isfinite(fx) and np.all(np.isfinite(g_new))
+        x, g = x_new, g_new
+        gnorm = float(np.linalg.norm(g))
+        k += 1
+        trace.append((k, fx, gnorm, gamma))
+    return x, fx, k, gnorm <= tol, tuple(trace)
+
+
+class TestBitIdentity:
+    """Each minimizer reproduces the plain loop's iterates bit for bit,
+    though it forms one A x per point and one g.g per iterate."""
+
+    @settings(max_examples=25)
+    @given(
+        dimension=st.integers(2, 20),
+        log_condition=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_loop(self, dimension, log_condition, seed):
+        rng = np.random.default_rng(seed)
+        A = bb.random_spd(dimension, seed, 10.0**log_condition).matrix
+        b = rng.standard_normal(dimension)
+        problem = bb.QuadraticObjective(A, b)
+        x0 = 10.0 * rng.standard_normal(dimension)
+        for method in ("bb1", "bb2", "bb1+safeguard", "bb2+safeguard", "sd"):
+            if method == "sd":
+                got = bb.steepest_descent_baseline(problem, x0, 1e-8, max_iter=500)
+            else:
+                variant, _, guard = method.partition("+")
+                got = bb.bb_minimize(
+                    problem, x0, 1e-8, max_iter=500, variant=variant, safeguard=bool(guard)
+                )
+            x, fx, iterations, converged, trace = _reference_run(A, b, x0, 1e-8, 500, method)
+            assert got.x.tobytes() == x.tobytes(), method
+            assert (got.fx, got.iterations, got.converged) == (fx, iterations, converged), method
+            # repr also tells a numpy scalar from a float, which the CLI would print
+            assert repr(got.trace) == repr(trace), method
+
+
+def _quadratic_with_bad_gradient(bad, at_iterate):
+    """F = (x0^2 + 100 x1^2)/2 as a plain ObjectiveFunction whose gradient has
+    `bad` in it at iterate `at_iterate` only; also returns its call log."""
+    calls = []
+
+    def gradient(x):
+        calls.append(x)
+        g = np.array([x[0], 100.0 * x[1]])
+        if len(calls) == at_iterate + 1:  # call 0 is the start point
+            g[1] = bad
+        return g
+
+    f = bb.ObjectiveFunction(
+        dimension=2,
+        evaluate=lambda x: float(0.5 * (x[0] ** 2 + 100.0 * x[1] ** 2)),
+        gradient=gradient,
+        name="bad-gradient",
+    )
+    return f, calls
+
+
+def _saddle(quadratic):
+    A = np.diag([-1.0, 1.0])
+    if quadratic:
+        return bb.QuadraticObjective(A, name="saddle")
+    return bb.ObjectiveFunction(
+        dimension=2,
+        evaluate=lambda x: float(0.5 * x @ (A @ x)),
+        gradient=lambda x: A @ x,
+        name="saddle",
+    )
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("method", ["bb2", "bb2+safeguard", "sd"])
+    def test_gradient_turning_non_finite_raises_at_its_iterate(self, bad, method):
+        f, calls = _quadratic_with_bad_gradient(bad, at_iterate=4)
+        with pytest.raises(bb.NonFiniteError, match="gradient"):
+            if method == "sd":
+                bb.steepest_descent_baseline(f, [100.0, 1.0], tol=1e-12)
+            else:
+                bb.bb_minimize(f, [100.0, 1.0], tol=1e-12, safeguard=method != "bb2")
+        # one gradient at the start and one per iterate: the run stopped at 4
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("quadratic", [True, False], ids=["quadratic", "generic"])
+    def test_overflowing_g2_is_not_a_non_finite_gradient(self, quadratic):
+        # along the negative-curvature axis the secant step is refused, gamma
+        # stays 1 and x doubles: at iterate 512 g.g = 2^1024 overflows while
+        # F = -2^1023 and every gradient component are finite, and at 513 F
+        # overflows too
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            result = bb.bb_minimize(_saddle(quadratic), [1.0, 0.0], tol=1e-8, max_iter=512)
+            assert result.iterations == 512
+            assert [row[2] for row in result.trace[-2:]] == [2.0**511, math.inf]
+            assert result.fx == -(2.0**1023)
+            with pytest.raises(bb.NonFiniteError, match="objective"):
+                bb.bb_minimize(_saddle(quadratic), [1.0, 0.0], tol=1e-8, max_iter=513)
+        assert seen == []  # the overflow is reported by the error alone
 
 
 class TestProblemLibrary:

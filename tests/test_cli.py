@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,15 @@ class TestBb:
         assert run(["bb", "--problem", "quad", "--x0", "1,2,3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflow_is_reported_by_the_error_alone(self, capsys):
+        # F = x.x/2 overflows at the start point; numpy's overflow warning
+        # would otherwise reach stderr ahead of the error
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run(["bb", "--problem", "sphere", "--x0", "1e200,0", "--baseline"]) == 1
+        assert seen == []
+        assert capsys.readouterr().err == "error: objective became non-finite\n"
+
     def test_nan_tolerance_fails_cleanly(self, capsys):
         for tol in ("nan", "inf"):
             assert run(["bb", "--problem", "sphere", "--tol", tol]) == 1
@@ -323,6 +333,11 @@ class TestUsageErrors:
     def test_malformed_eps(self, subcommand, eps, capsys):
         assert run([subcommand, "--eps", eps]) == 2
         assert "--eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x0", ["nan,1", "inf,1", "1,-inf", "1e400,1"])
+    def test_non_finite_start_point(self, x0, capsys):
+        assert run(["bb", "--problem", "quad", "--x0", x0]) == 2
+        assert "--x0" in capsys.readouterr().err
 
     def test_walk_takes_no_format(self, capsys):
         assert run(["walk", "--digits", "10", "--format", "json"]) == 2
