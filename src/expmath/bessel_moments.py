@@ -21,7 +21,8 @@ The integrand's mass sits where K0(t) is about n/2, near t = 2 e^{-gamma-n/2}
 exp-sinh sum's quiet-tail cut to stop before it, the quadrature runs in
 x = t / 2^k instead, with the exact power of two 2^k chosen to put the peak
 at x in [1, 2) (Takahasi and Mori, Publ. RIMS 9 (1974) 721).  Smaller n keep
-k = 0, so their nodes and ln K0 values stay shared across n and tolerances.
+k = 0, so their nodes and ln K0 values stay shared across n and tolerances;
+the same memo holds each node's ln x, so a repeated node costs no logarithm.
 """
 
 from __future__ import annotations
@@ -44,10 +45,13 @@ from .precision import (
 
 
 @lru_cache(maxsize=400_000)
-def _log_k0_cached(t_mpf: tuple, prec: int) -> mpf:
-    """ln K0 shared across integrals and across n, keyed by the exact binary
-    argument (an mpf's raw tuple) and the working precision."""
-    return functions._log_k0_raw(mpf(t_mpf), prec)
+def _log_k0_cached(x_mpf: tuple, k: int, prec: int) -> tuple:
+    """(ln x, ln K0(2^k x)) shared across integrals and across n, keyed by
+    the exact binary node x (an mpf's raw tuple), the shift exponent k and
+    the working precision.  Both logarithms are taken at `prec`."""
+    with mp.workprec(prec):
+        log_x = mpmath.ln(mpf(x_mpf))
+    return log_x, functions._log_k0_raw(mpf(mpf_shift(x_mpf, k)), prec)
 
 
 @dataclass(frozen=True)
@@ -126,17 +130,18 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
         exp_floor = (k - prec) * ln2 - 64
 
         def integrand(x: mpf) -> mpf:
-            # the memo key is t = 2^k x, shifted exactly
-            t_key = mpf_shift(x._mpf_, k)
-            arg = prefactor + mpmath.ln(x) + n * _log_k0_cached(t_key, prec)
+            log_x, log_k0 = _log_k0_cached(x._mpf_, k, prec)
+            arg = prefactor + log_x + n * log_k0
             if arg < exp_floor:
                 return mpf(0)
             return mpmath.exp(arg)
 
         def log_bound(x: mpf) -> mpf:
             # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail bracket)
+            # ln 2t = ln x + (k + 1) ln 2, one logarithm per node
             t = mpmath.ldexp(x, k)
-            return prefactor + mpmath.ln(x) + n * (half_log - mpmath.ln(2 * t) / 2 - t)
+            log_x = mpmath.ln(x)
+            return prefactor + log_x + n * (half_log - (log_x + (k + 1) * ln2) / 2 - t)
 
         # t >= 2 is x >= 2^{1-k}: an mpf, since a float overflows once k < -1023
         certificate = quadrature.DecayCertificate(

@@ -100,6 +100,18 @@ def _float_list(text: str):
     return values
 
 
+def _tol_spec(text: str):
+    """Parse --tol as a float that is finite and positive once converted,
+    so 1e-400, which rounds to 0, is refused along with nan and inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"--tol takes a positive finite number, got {text!r}")
+    return value
+
+
 def _finite_decimal(text: str):
     """`text` as a 64-bit mpf, or None when it is not a finite decimal."""
     try:
@@ -195,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=("sphere", "quad", "rosenbrock", "random-spd"),
                    default="quad")
     p.add_argument("--variant", choices=("bb1", "bb2"), default="bb2")
-    p.add_argument("--tol", type=float, default=1e-8, help="gradient-norm tolerance")
+    p.add_argument("--tol", type=_tol_spec, default=1e-8, help="gradient-norm tolerance")
     p.add_argument("--x0", type=_float_list, default=None, help="start point, e.g. 100,1")
     p.add_argument("--max-iter", type=_positive_int("--max-iter"), default=10_000)
     p.add_argument("--seed", type=int, default=17, help="seed for random-spd")

@@ -13,7 +13,9 @@ by one sweep; the only map-specific step is where a node lands.  Finite
 nodes are stored as distances from the nearer endpoint, so an integrand
 like x^(-1/2) on (0, b) receives arguments accurate to full working
 precision arbitrarily close to its singularity; the interval's centre and
-half-width are formed at that working precision too.  Tails of each
+half-width are formed at that working precision too.  A semi-infinite
+node's large-side entry also carries ln w, so a decay certificate's skip
+test compares logarithms without taking one per node and call.  Tails of each
 trapezoid sum are cut adaptively: a sweep stops once several consecutive
 node pairs contribute below the tolerance, which is what makes endpoint
 singularities converge at the same rate as smooth integrands.
@@ -89,8 +91,10 @@ def _nodes(kind: str, prec: int, level: int):
     - "ts" (x = tanh a): (d, w), d = 1 - |x| computed as 2/(e^{2a}+1) so it
       keeps full relative precision however small, w = (pi/2) cosh t / cosh^2 a;
       the sweep mirrors it onto both endpoints.
-    - "es" (x = e^a): (x, w, 1/x, w') for t and -t, the small abscissa kept
-      as the exponential itself for full relative precision near 0.
+    - "es" (x = e^a): (x, w, 1/x, w', ln w) for t and -t, the small abscissa
+      kept as the exponential itself for full relative precision near 0.
+      ln w, for the large side only, is what a decay certificate's skip
+      test reads; no present caller's certificate reaches the small side.
     A table ends at None, once its nodes are past any resolvable tail.
     """
     table = _NODE_CACHE.setdefault((kind, prec, level), [])
@@ -113,7 +117,8 @@ def _nodes(kind: str, prec: int, level: int):
                 else:
                     ea = mpmath.exp(a)
                     wf = half_pi * cosh_t
-                    node = (ea, ea * wf, 1 / ea, wf / ea)
+                    w = ea * wf
+                    node = (ea, w, 1 / ea, wf / ea, mpmath.ln(w))
             table.append(node)
         if table[index] is None:
             return
@@ -147,11 +152,14 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
         half_pi = mpmath.pi / 2
         noise = mpmath.ldexp(1, -(prec - 10))
 
-        def evaluate(y, weight):
-            """One weighted integrand evaluation under the tail policy."""
+        def evaluate(y, weight, log_weight=None):
+            """One weighted integrand evaluation under the tail policy;
+            `log_weight` is ln(weight) when the node table carries it."""
             if cert_beyond is not None and y >= cert_beyond:
                 bound = tail_bound.log_bound(y)
-                if bound < log_term_floor - mpmath.ln(weight):
+                if log_weight is None:
+                    log_weight = mpmath.ln(weight)
+                if bound < log_term_floor - log_weight:
                     return mpf(0)  # certified negligible; skip evaluation
                 try:
                     fv = _coerce(f(y))
@@ -189,8 +197,8 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             quiet = 0
             for index, node in enumerate(_nodes(kind, prec, level), 1):
                 if b is None:
-                    x, w, x_small, w_small = node
-                    contrib = evaluate(a + x, w) + evaluate(a + x_small, w_small)
+                    x, w, x_small, w_small, log_w = node
+                    contrib = evaluate(a + x, w, log_w) + evaluate(a + x_small, w_small)
                 else:
                     d, w = node
                     offset, weight = d * hw, w * hw

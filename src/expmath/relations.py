@@ -3,15 +3,18 @@
 A from-scratch PSLQ implementation drives everything: given reals
 (v_1, ..., v_n) it either finds a nonzero integer vector m with
 sum m_i v_i ~ 0, or certifies that no relation exists with coefficients
-below a cap.  On top of that, `recognize` plays miniature inverse symbolic
-calculator: it scans subsets of a basis of named constants, keeps relations
-that involve the target value, re-verifies each at higher precision, and
-renders the implied closed form ("2*exp(-2*gamma)").
+below a cap.  A candidate counts only if its residual beats the chance
+level of its own coefficients, so the search runs past the coincidental
+relations that any values admit.  On top of that, `recognize` plays
+miniature inverse symbolic calculator: one relation search over the target
+and the whole basis of named constants; when the relation found leaves the
+target out, the basis constant with the largest coefficient is dropped and
+the search repeated.  The match is re-verified at higher precision and
+rendered as the implied closed form ("2*exp(-2*gamma)").
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,6 +80,12 @@ def _normalize_relation(rel: Sequence[int]) -> tuple:
     return tuple(int(c) for c in rel)
 
 
+def _size(rel) -> int:
+    """prod |m_i| over the nonzero coefficients: a chance relation of this
+    size leaves a residual of about 1/_size."""
+    return math.prod(abs(c) for c in rel if c)
+
+
 def _coerce_values(values, precision_digits: int):
     need_bits = int(math.ceil(precision_digits * math.log2(10)))
     ctx = PrecisionContext.from_digits(precision_digits + 10)
@@ -101,8 +110,12 @@ def find_integer_relation(
 ):
     """Integer vector m with |sum m_i v_i| below 10^-(digits-safety), or None.
 
-    None means: no relation with all |m_i| <= coefficient_cap detectable at
-    this precision.  A residual that plateaus above the acceptance threshold
+    The residual must also beat the chance level of m's own size:
+    -log10(residual) >= sum log10|m_i| + SAFETY_DIGITS over the nonzero m_i,
+    since any values admit relations with residuals of roughly 1/prod|m_i|
+    (pigeonhole); the search passes over relations that fail this.  None
+    means: no relation with all |m_i| <= coefficient_cap detectable at this
+    precision.  A residual that plateaus above the acceptance threshold
     while the iteration floor is reached raises PrecisionError instead of
     guessing.
     """
@@ -166,8 +179,9 @@ def _pslq(xs, prec: int, precision_digits: int, cap: int):
                 return "reject", None
             with mp.workprec(prec + 32):
                 resid = abs(mpmath.fsum(mpf(c) * x for c, x in zip(rel, xs)))
-            if resid >= accept:
-                return "reject", None
+                # a chance relation is passed over, not reported
+                if resid >= accept or resid * _size(rel) * 10 ** SAFETY_DIGITS > 1:
+                    return "reject", None
             if max(abs(c) for c in rel) > cap:
                 return "cap", None
             return "accept", list(_normalize_relation(rel))
@@ -326,78 +340,65 @@ def _render_match(rel, basis) -> str:
 def recognize(value, basis, precision_digits: int):
     """Identify `value` as a rational combination of basis constants.
 
-    Scans subsets of the basis smallest-first, keeps integer relations in
-    which the value itself participates, re-verifies every candidate with
-    the basis regenerated at precision_digits + 20, and returns matches
-    sorted by (residual, coefficient norm).  A match's residual must lie
-    below 10^-(precision_digits - SAFETY_DIGITS) and, for its nonzero
-    coefficients m_i, satisfy -log10(residual) >= sum log10|m_i| +
-    SAFETY_DIGITS.  Empty list when nothing passes; PrecisionError when the
-    value or a basis value carries too few bits for precision_digits.
+    One integer-relation search runs over [value] + basis.  A relation that
+    leaves the value out is one among the basis constants themselves; the
+    constant with the largest coefficient in it is dropped and the search
+    repeated, at most len(basis) + 1 searches in all.  The relation found is
+    re-verified with the basis regenerated at precision_digits + 30: its
+    residual must lie below 10^-(precision_digits - SAFETY_DIGITS) and,
+    for its nonzero coefficients m_i, satisfy -log10(residual) >=
+    sum log10|m_i| + SAFETY_DIGITS.  Returns a list of at most one match;
+    empty when no relation involving the value is found or verified,
+    including when a search reaches a residual plateau (PrecisionError
+    inside the search) before it can confirm or exclude a relation.
+    PrecisionError is raised only when the value or a basis value carries
+    too few bits for precision_digits.
     """
     ctx = PrecisionContext.from_digits(precision_digits + 10)
     target = value if isinstance(value, BigReal) else make_real(as_mpf(value, ctx), ctx)
-    # too coarse an input is an error, not a scan in which every subset fails
+    # too coarse an input is an error, not a search that cannot succeed
     _coerce_values([target] + [b.value for b in basis], precision_digits)
+
+    active = list(range(len(basis)))
+    while active:
+        try:
+            rel = find_integer_relation(
+                [target] + [basis[i].value for i in active], precision_digits
+            )
+        except PrecisionError:
+            return []
+        if rel is None:
+            return []
+        if rel[0] != 0:
+            break
+        del active[max(range(len(active)), key=lambda j: abs(rel[j + 1]))]
+    else:
+        return []
+
+    # rel is in lowest terms with rel[0] > 0, and so is its spread over the basis
+    full = [rel[0]] + [0] * len(basis)
+    for pos, idx in enumerate(active, 1):
+        full[idx + 1] = rel[pos]
+    key = tuple(full)
+    # soundness: the relation must survive sharper basis values
     sharp_ctx = PrecisionContext.from_digits(precision_digits + 30)
-    sharp = {b.name: b.at(sharp_ctx) for b in basis}
-
-    found = {}
-    for size in range(1, len(basis) + 1):
-        for combo in itertools.combinations(range(len(basis)), size):
-            subset = [basis[i] for i in combo]
-            try:
-                rel = find_integer_relation(
-                    [target] + [b.value for b in subset], precision_digits
-                )
-            except PrecisionError:
-                continue
-            if rel is None or rel[0] == 0:
-                continue
-            full = [0] * (1 + len(basis))
-            full[0] = rel[0]
-            for pos, idx in enumerate(combo):
-                full[idx + 1] = rel[pos + 1]
-            key = _normalize_relation(full)
-            if key in found:
-                continue
-            # soundness: the relation must survive sharper basis values
-            with mp.workprec(sharp_ctx.bits):
-                resid = abs(
-                    mpmath.fsum(
-                        [mpf(key[0]) * target.value]
-                        + [mpf(c) * sharp[b.name].value for c, b in zip(key[1:], basis)]
-                    )
-                )
-                # any values admit chance relations with residuals of roughly
-                # 1/prod|m_i| (pigeonhole); a match must beat that by SAFETY
-                ok = resid < mpf(10) ** (-(precision_digits - SAFETY_DIGITS)) and (
-                    resid * math.prod(abs(c) for c in key if c) * 10 ** SAFETY_DIGITS <= 1
-                )
-                resid = +resid
-            if ok:
-                found[key] = resid
-
-    matches = []
-    for key, resid in found.items():
-        if resid > 0:
-            conf = int(mpmath.floor(-mpmath.log10(resid)))
-        else:
-            conf = precision_digits
-        conf = min(conf, precision_digits)
-        matches.append(
-            RecognitionMatch(
-                coefficients=key,
-                residual=make_real(resid, ctx),
-                confidence_digits=conf,
-                rendering=_render_match(key, basis),
+    with mp.workprec(sharp_ctx.bits):
+        resid = abs(
+            mpmath.fsum(
+                [mpf(key[0]) * target.value]
+                + [mpf(c) * b.at(sharp_ctx).value for c, b in zip(key[1:], basis) if c]
             )
         )
-    matches.sort(
-        key=lambda m: (
-            m.residual.value,
-            sum(c * c for c in m.coefficients),
-            m.coefficients,
+        if (resid >= mpf(10) ** (-(precision_digits - SAFETY_DIGITS))
+                or resid * _size(key) * 10 ** SAFETY_DIGITS > 1):
+            return []
+        resid = +resid
+    conf = int(mpmath.floor(-mpmath.log10(resid))) if resid > 0 else precision_digits
+    return [
+        RecognitionMatch(
+            coefficients=key,
+            residual=make_real(resid, ctx),
+            confidence_digits=min(conf, precision_digits),
+            rendering=_render_match(key, basis),
         )
-    )
-    return matches
+    ]

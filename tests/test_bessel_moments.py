@@ -1,5 +1,7 @@
 """Moments of powers of K_0: known values, monotone decrease, large n, 2-D oracle."""
 
+import hashlib
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +300,23 @@ class TestLogK0Memo:
     def test_memo_is_bounded(self):
         maxsize = bessel_moments._log_k0_cached.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
+
+
+class TestBitIdentity:
+    def test_raw_tuples_are_pinned(self):
+        # the sha256 of the raw (value, error) mpf tuples: a change that only
+        # saves arithmetic must leave every bit of C_n as it is; n = 150
+        # integrates in x = t/2^k with k != 0
+        calls = [(n, 30, 25) for n in (1, 2, 3, 4, 8, 20)] + [(4, 60, 52), (150, 30, 25)]
+        assert bessel_moments._shift_exponent(150, mpf(10) ** -25) != 0
+        raws = []
+        for n, digits, eps_exp in calls:
+            with mp.workprec(64):
+                eps = mpf(10) ** -eps_exp
+            rec = bessel_moments.c_n(n, PrecisionContext.from_digits(digits), eps)
+            raws.append((rec.value.value._mpf_, rec.error_estimate.value._mpf_))
+        digest = hashlib.sha256(repr(raws).encode()).hexdigest()
+        assert digest == "7ed37c111d5fe3867d369cb37bb049e39856e44429afe492737aa0eb6ca4a327"
 
 
 class TestRecordValidation:

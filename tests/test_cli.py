@@ -176,10 +176,12 @@ class TestBb:
         assert capsys.readouterr().err == "error: objective became non-finite\n"
 
     def test_nan_tolerance_fails_cleanly(self, capsys):
-        for tol in ("nan", "inf"):
-            assert run(["bb", "--problem", "sphere", "--tol", tol]) == 1
+        # 1e-400 is refused too: it rounds to 0 as a float
+        for tol in ("nan", "inf", "0", "-1", "1e-400"):
+            assert run(["bb", "--problem", "sphere", "--tol", tol]) == 2
             captured = capsys.readouterr()
-            assert "error: tol must be positive" in captured.err
+            assert f"--tol takes a positive finite number, got {tol!r}" in captured.err
+            assert "usage:" in captured.err
             assert captured.out == ""
 
 

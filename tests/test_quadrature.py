@@ -348,6 +348,29 @@ class TestDecayCertificate:
             _check(r, mpmath.besselk(0, 1), mpf(10) ** -38)
 
 
+    def test_large_side_node_carries_its_log_weight(self):
+        # the skip test reads ln w from the table; it must be the very bits
+        # mpmath.ln(w) gives at the table's precision
+        prec = PrecisionContext.from_digits(30).bits + 16
+        for level in (0, 3):
+            nodes = list(quadrature._nodes("es", prec, level))
+            assert nodes
+            with mp.workprec(prec):
+                for x, w, x_small, w_small, log_w in nodes:
+                    assert log_w == mpmath.ln(w)
+
+    def test_certificate_covering_the_small_side(self):
+        # beyond = 0 certifies every node, the small side's included, whose
+        # log weight the table does not carry
+        ctx = PrecisionContext.from_digits(30)
+        cert = quadrature.DecayCertificate(beyond=0.0, log_bound=lambda y: -y)
+        r = quadrature.integrate_semi_infinite(
+            lambda x: mpmath.exp(-x), 0, mpf(10) ** -30, ctx, tail_bound=cert
+        )
+        with mp.workprec(ctx.bits + 16):
+            _check(r, mpf(1), mpf(10) ** -28)
+
+
 class TestRuleTable:
     def test_structure(self):
         ctx = PrecisionContext.from_digits(30)

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from expmath import bessel_moments, functions, relations
+from expmath import agm, bessel_moments, functions, relations
 from expmath.precision import (
     DomainError,
     PrecisionContext,
@@ -94,6 +94,17 @@ class TestFindIntegerRelation:
         rel = relations.find_integer_relation([g4, g6], 40)
         assert rel == (3, -2)
 
+    def test_chance_relation_is_passed_over(self):
+        # at 15 digits the acceptance threshold is 10^0, and
+        # gamma + 2 e^{-2 gamma} - zeta(3) = 0.0056 falls below it; with
+        # coefficients (1, 2, -1) it misses the chance rule by 13 digits, so
+        # the search goes past it to the true relation 20 * 0.15 = 3
+        ctx = PrecisionContext.from_digits(25)
+        basis = [b.value for b in relations.default_basis(ctx)]
+        assert relations.find_integer_relation(basis, 15) is None
+        target = parse_decimal("0.15", ctx)
+        assert relations.find_integer_relation([target] + basis, 15) == (20, -3, 0, 0, 0, 0)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             relations.find_integer_relation([mpf(1)], 40)
@@ -180,6 +191,47 @@ class TestRecognize:
         assert matches
         assert matches[0].coefficients == (18, -8, 63, 3)
 
+    def test_one_search_over_the_whole_basis(self, monkeypatch):
+        calls = []
+        real = relations._pslq
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(relations, "_pslq", counting)
+        ctx = PrecisionContext.from_digits(60)
+        matches = relations.recognize(parse_decimal(CINF_50, ctx), relations.default_basis(ctx), 50)
+        assert matches[0].rendering == "2*exp(-2*gamma)"
+        assert len(calls) == 1
+
+    def test_relation_inside_the_basis_is_dropped_and_retried(self, monkeypatch):
+        # 1 - 2 pi + (2 pi - 1) = 0 is found first; pi, its largest
+        # coefficient, is dropped, and 3/7 + pi = 13/14 + (2 pi - 1)/2 found
+        def make(c):
+            wide = c.widened(10)
+            p = agm.pi_value(wide)
+            with mp.workprec(wide.bits):
+                return make_real(2 * p.value - 1, c)
+
+        calls = []
+        real = relations._pslq
+
+        def counting(xs, *args):
+            calls.append(real(xs, *args))
+            return calls[-1]
+
+        monkeypatch.setattr(relations, "_pslq", counting)
+        ctx = PrecisionContext.from_digits(50)
+        basis = relations.standard_basis(["one", "pi"], ctx)
+        basis.append(relations.BasisConstant("two_pi_minus_one", "(2*pi - 1)", make, make(ctx)))
+        with mp.workprec(ctx.bits):
+            value = mpf(3) / 7 + basis[1].value.value
+        matches = relations.recognize(value, basis, 40)
+        assert calls == [[0, 1, -2, 1], [14, -13, -7]]
+        assert [m.coefficients for m in matches] == [(14, -13, 0, -7)]
+        assert matches[0].rendering == "13/14 + 1/2*(2*pi - 1)"
+
     def test_plain_rational(self):
         ctx = PrecisionContext.from_digits(40)
         basis = relations.standard_basis(["one"], ctx)
@@ -198,7 +250,7 @@ class TestRecognize:
         assert relations.recognize(value, basis, digits) == []
 
     def test_too_coarse_a_value_is_an_error(self):
-        # 104 bits cannot answer for 50 digits, whatever the subset
+        # 104 bits cannot answer for 50 digits, whatever the search finds
         value = parse_decimal(CINF_50, PrecisionContext.from_digits(20))
         basis = relations.default_basis(PrecisionContext.from_digits(60))
         with pytest.raises(PrecisionError):
