@@ -10,6 +10,12 @@ those bytes once, to ``--out`` or to standard output.  All numeric output is
 rendered as decimal strings (never raw binary floats), so byte-identical
 round-trips hold.  Exit codes: 0 success, 1 computation failure, 2 usage
 error.
+
+Input contract: every usage error is argparse's.  Each flag that takes a
+value has one argparse type made by ``_flag`` from a converter and a
+predicate, which refuses bad text as ``FLAG takes WHAT, got TEXT``; flag
+combinations (``recognize``'s ``--value`` or ``--list-basis``) are argparse
+groups.  No handler raises a usage error.
 """
 
 from __future__ import annotations
@@ -32,10 +38,6 @@ from .precision import BigReal, NumericsError, PrecisionContext, _from_decimal, 
 _DEFAULT_DIGITS = 30
 
 
-class _UsageError(Exception):
-    """Bad flag combination that argparse alone cannot catch (exit code 2)."""
-
-
 def _env_default_digits() -> int:
     raw = os.environ.get("EXPMATH_DIGITS", "")
     try:
@@ -45,112 +47,57 @@ def _env_default_digits() -> int:
     return value if value >= 1 else _DEFAULT_DIGITS
 
 
-def _positive_int(label: str, minimum: int = 1):
-    def parse(text: str) -> int:
+def _flag(label: str, convert, valid, expects: str):
+    """The argparse type of one flag: ``convert(text)``, kept when ``valid``
+    holds of it.  Text that ``convert`` or ``valid`` rejects with ValueError
+    or ZeroDivisionError, or that ``valid`` finds wanting, is refused with
+    ``LABEL takes EXPECTS, got TEXT`` (exit 2, with the usage line)."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{label} must be an integer") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{label} must be >= {minimum}")
+            value = convert(text)
+            ok = valid(value)
+        except (ValueError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"{label} takes {expects}, got {text!r}")
         return value
 
     return parse
 
 
-def _n_spec(text: str):
-    """Parse --n as a single integer or an inclusive range 'a..b'; n >= 1."""
-    try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo < 1 or hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        n = int(text)
-        if n < 1:
-            raise ValueError
-        return [n]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "--n takes a positive integer (n >= 1) or a range like 1..32"
-        ) from None
+def _int_flag(label: str, minimum: int = 1):
+    return _flag(label, int, lambda v: v >= minimum, f"an integer >= {minimum}")
 
 
-def _size_spec(text: str):
-    try:
-        if "x" in text:
-            w_s, h_s = text.lower().split("x", 1)
-            return (int(w_s), int(h_s))
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("--size takes N or WxH, e.g. 512 or 800x600") from None
+def _decimal64(text: str):
+    return _from_decimal(text, 64)
 
 
-def _float_list(text: str):
-    """Parse --x0: comma-separated finite numbers."""
-    try:
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(
-            f"--x0 takes a comma-separated list of finite numbers, got {text!r}"
-        )
-    return values
+def _decimal_flag(label: str, parse=_decimal64, expects: str = "a finite decimal"):
+    """A flag kept as its text, once ``parse`` reads it as a finite value:
+    the handler parses the text again at the precision it computes with."""
+    return _flag(label, str, lambda text: mpmath.isfinite(parse(text)), expects)
 
 
-def _tol_spec(text: str):
-    """Parse --tol as a float that is finite and positive once converted,
-    so 1e-400, which rounds to 0, is refused along with nan and inf."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"--tol takes a positive finite number, got {text!r}")
-    return value
+def _n_range(text: str) -> range:
+    """--n: a single index or an inclusive range 'lo..hi', as a range."""
+    lo, sep, hi = text.partition("..")
+    return range(int(lo), int(hi if sep else lo) + 1)
 
 
-def _finite_decimal(text: str):
-    """`text` as a 64-bit mpf, or None when it is not a finite decimal."""
-    try:
-        value = _from_decimal(text, 64)
-    except ValueError:
-        return None
-    return value if mpmath.isfinite(value) else None
+def _size(text: str):
+    """--size: N, or WxH as a (width, height) pair."""
+    w, sep, h = text.partition("x")
+    return (int(w), int(h)) if sep else int(w)
 
 
-def _eps_spec(text: str):
-    """Parse --eps as a positive, finite decimal at 64-bit precision."""
-    value = _finite_decimal(text)
-    if value is None or not value > 0:
-        raise argparse.ArgumentTypeError("--eps takes a positive decimal, e.g. 1e-25")
-    return value
-
-
-def _decimal_spec(label: str, ratio: bool = False):
-    """Check that a flag is a finite decimal (or, with `ratio`, p/q, q != 0).
-
-    The text itself is returned: the handler parses it again at the
-    precision it computes with.
-    """
-    def check(text: str) -> str:
-        if ratio and "/" in text:
-            num, den = text.split("/", 1)
-            try:
-                int(num)
-                valid = int(den) != 0
-            except ValueError:
-                valid = False
-        else:
-            valid = _finite_decimal(text) is not None
-        if not valid:
-            kind = "a finite decimal or p/q" if ratio else "a finite decimal"
-            raise argparse.ArgumentTypeError(f"{label} takes {kind}, got {text!r}")
-        return text
-
-    return check
+def _threshold(text: str, ctx: PrecisionContext):
+    """--threshold's grammar: p/q as an exact Fraction, else a decimal at
+    the context's precision."""
+    if "/" in text:
+        num, den = text.split("/", 1)
+        return Fraction(int(num), int(den))
+    return parse_decimal(text, ctx).value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,80 +107,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     digits_default = _env_default_digits()
+    eps = _flag("--eps", _decimal64, lambda v: mpmath.isfinite(v) and v > 0,
+                "a positive finite decimal, e.g. 1e-25")
 
     def command(name, handler, summary, digits=digits_default, fmt="text",
                 digits_help="significant digits to print"):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        p.add_argument(
-            "--digits",
-            type=_positive_int("--digits"),
-            default=digits,
-            help=f"{digits_help} (default {digits})",
-        )
+        p.add_argument("--digits", type=_int_flag("--digits"), default=digits,
+                       help=f"{digits_help} (default {digits})")
         if fmt is not None:
-            p.add_argument(
-                "--format",
-                choices=("text", "json", "csv"),
-                default=fmt,
-                help=f"output format (default {fmt})",
-            )
+            p.add_argument("--format", choices=("text", "json", "csv"), default=fmt,
+                           help=f"output format (default {fmt})")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         return p
 
     p = command("pi", _cmd_pi, "pi via the quadratically convergent mean iteration")
-    p.add_argument(
-        "--iterations",
-        type=_positive_int("--iterations"),
-        default=None,
-        help="fixed iteration count; reports per-iteration errors",
-    )
+    p.add_argument("--iterations", type=_int_flag("--iterations"), default=None,
+                   help="fixed iteration count; reports per-iteration errors")
 
     p = command("cn", _cmd_cn, "Bessel-moment integrals C_n")
-    p.add_argument("--n", type=_n_spec, default=[4], help="index or range, e.g. 4 or 1..10")
-    p.add_argument("--eps", type=_eps_spec, default=None, help="target accuracy, e.g. 1e-25")
+    p.add_argument("--n", type=_flag("--n", _n_range, lambda r: 1 <= r.start < r.stop,
+                                     "a positive integer (n >= 1) or a range like 1..32"),
+                   default="4", help="index or range, e.g. 4 or 1..10")
+    p.add_argument("--eps", type=eps, default=None, help="target accuracy, e.g. 1e-25")
 
     command("cinf", _cmd_cinf, "the limit value 2*exp(-2*gamma)", digits=50)
 
     p = command("sinc", _cmd_sinc, "both sides of the sinc-product identity")
-    p.add_argument("--N", type=_positive_int("--N"), default=1, help="number of odd reciprocals past 1")
-    p.add_argument("--eps", type=_eps_spec, default=None, help="target accuracy for each side")
+    p.add_argument("--N", type=_int_flag("--N"), default=1, help="number of odd reciprocals past 1")
+    p.add_argument("--eps", type=eps, default=None, help="target accuracy for each side")
 
     p = command("threshold", _cmd_threshold, "first N where the sinc identity fails")
-    p.add_argument("--threshold", type=_decimal_spec("--threshold", ratio=True),
-                   default=None, help="frequency budget; decimal or p/q (default: 2*pi)")
+    ratio = _decimal_flag("--threshold", lambda text: _threshold(text, PrecisionContext(64, 1)),
+                          "a finite decimal or p/q")
+    p.add_argument("--threshold", type=ratio, default=None,
+                   help="frequency budget; decimal or p/q (default: 2*pi)")
 
     p = command("bb", _cmd_bb, "two-point gradient descent vs steepest descent")
     p.add_argument("--problem", choices=("sphere", "quad", "rosenbrock", "random-spd"),
                    default="quad")
     p.add_argument("--variant", choices=("bb1", "bb2"), default="bb2")
-    p.add_argument("--tol", type=_tol_spec, default=1e-8, help="gradient-norm tolerance")
-    p.add_argument("--x0", type=_float_list, default=None, help="start point, e.g. 100,1")
-    p.add_argument("--max-iter", type=_positive_int("--max-iter"), default=10_000)
-    p.add_argument("--seed", type=int, default=17, help="seed for random-spd")
-    p.add_argument("--dimension", type=_positive_int("--dimension", 2), default=5)
-    p.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also run steepest descent and report both iteration counts",
-    )
+    p.add_argument("--tol", type=_flag("--tol", float, lambda v: math.isfinite(v) and v > 0,
+                                       "a positive finite number"),
+                   default=1e-8, help="gradient-norm tolerance")
+    p.add_argument("--x0", default=None, help="start point, e.g. 100,1",
+                   type=_flag("--x0", lambda t: [float(c) for c in t.split(",") if c.strip()],
+                              lambda v: all(map(math.isfinite, v)),
+                              "a comma-separated list of finite numbers"))
+    p.add_argument("--max-iter", type=_int_flag("--max-iter"), default=10_000)
+    p.add_argument("--seed", type=_flag("--seed", int, lambda v: True, "an integer"), default=17,
+                   help="seed for random-spd")
+    p.add_argument("--dimension", type=_int_flag("--dimension", 2), default=5)
+    p.add_argument("--baseline", action="store_true",
+                   help="also run steepest descent and report both iteration counts")
 
     p = command("agm", _cmd_agm, "arithmetic-geometric mean iterations")
-    p.add_argument("--a", type=_decimal_spec("--a"), default="1", help="first starting value")
-    p.add_argument("--b", type=_decimal_spec("--b"), default="0.5", help="second starting value")
+    p.add_argument("--a", type=_decimal_flag("--a"), default="1", help="first starting value")
+    p.add_argument("--b", type=_decimal_flag("--b"), default="0.5", help="second starting value")
     p.add_argument("--kind", choices=("2", "3"), default="2", help="quadratic or cubic mean")
     p.add_argument("--trajectory", action="store_true", help="print every iterate")
 
     p = command("recognize", _cmd_recognize, "identify a decimal as a combination of constants",
                 digits=50, fmt="json")
-    p.add_argument("--value", type=_decimal_spec("--value"), default=None,
-                   help="decimal string to identify")
-    p.add_argument(
-        "--basis",
-        default="one,gamma,em2gamma,zeta3,pi2",
-        help="comma-separated constant names (see --list-basis)",
-    )
-    p.add_argument("--list-basis", action="store_true", help="print available constants and exit")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--value", type=_decimal_flag("--value"), help="decimal string to identify")
+    target.add_argument("--list-basis", action="store_true",
+                        help="print available constants and exit")
+    p.add_argument("--basis", default="one,gamma,em2gamma,zeta3,pi2",
+                   help="comma-separated constant names (see --list-basis)")
 
     p = command("quad", _cmd_quad, "the double-exponential integrator on reference integrals")
     p.add_argument("--integrand", choices=("log-inverse", "inv-sqrt", "gauss", "bessel-moment"),
@@ -243,8 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("walk", _cmd_walk, "digit walk of a constant, rendered to PPM or SVG",
                 fmt=None, digits_help="digits of the constant to walk")
     p.add_argument("--constant", default="pi")
-    p.add_argument("--base", type=_positive_int("--base", 2), default=4)
-    p.add_argument("--size", type=_size_spec, default=512)
+    p.add_argument("--base", type=_int_flag("--base", 2), default=4)
+    p.add_argument("--size", default=512,
+                   type=_flag("--size", _size, lambda v: True, "N or WxH, e.g. 512 or 800x600"))
     p.add_argument("--color", choices=("progress", "mono"), default="progress")
     p.add_argument("--image-format", choices=("ppm", "svg"), default=None,
                    help="defaults to the --out extension, else svg")
@@ -320,7 +263,7 @@ def _cmd_cn(args):
     d = args.digits
     ctx = PrecisionContext.from_digits(max(d + 5, 30))
     eps = _eps_from(args)
-    records = [bessel_moments.c_n(n, ctx, eps) for n in sorted(set(args.n))]
+    records = [bessel_moments.c_n(n, ctx, eps) for n in args.n]
     payload, rows, lines = {"records": []}, [("n", "value", "error_estimate")], []
     for r in records:
         value, err = r.value.to_decimal(d), r.error_estimate.to_decimal(3)
@@ -354,13 +297,6 @@ def _cmd_sinc(args):
     )
 
 
-def _parse_threshold(text: str, ctx: PrecisionContext):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return parse_decimal(text, ctx)
-
-
 def _cmd_threshold(args):
     ctx = PrecisionContext.from_digits(max(args.digits, 30))
     if args.threshold is None:
@@ -368,7 +304,7 @@ def _cmd_threshold(args):
             threshold = +(2 * agm.pi_value(PrecisionContext(ctx.bits + 48, ctx.target_digits)).value)
         label = "2*pi"
     else:
-        threshold = _parse_threshold(args.threshold, ctx)
+        threshold = _threshold(args.threshold, ctx)
         label = args.threshold
     n = sinc_identity.threshold_scan(threshold, ctx)
     return _fields([("threshold", label), ("n", n)], lines=[n])
@@ -455,8 +391,6 @@ def _cmd_recognize(args):
     if args.list_basis:
         names = relations.basis_names()
         return {"basis": names}, [(n,) for n in names], names
-    if args.value is None:
-        raise _UsageError("recognize needs --value (or --list-basis)")
     d = args.digits
     ctx = PrecisionContext.from_digits(d + 10)
     value = parse_decimal(args.value, ctx)
@@ -534,9 +468,6 @@ def run(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         result = args.handler(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (NumericsError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

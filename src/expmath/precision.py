@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 import mpmath
 from mpmath import mp, mpf
@@ -62,23 +63,21 @@ class PrecisionContext:
         honour ``target_digits + guard_digits`` decimal digits.
     target_digits:
         Number of correct decimal digits the caller wants back.
-    guard_digits:
-        Extra decimal digits carried internally to absorb roundoff; at
-        least 10.  Operations that detect cancellation widen further on
-        their own.
+
+    Every context carries ``guard_digits`` = 10 extra decimal digits to
+    absorb roundoff; operations that detect cancellation widen further on
+    their own.
     """
 
     bits: int
     target_digits: int
-    guard_digits: int = 10
+    guard_digits: ClassVar[int] = 10
 
     def __post_init__(self) -> None:
         if self.bits < 64:
             raise ValueError("working precision must be at least 64 bits")
         if self.target_digits < 1:
             raise ValueError("target_digits must be positive")
-        if self.guard_digits < 10:
-            raise ValueError("guard_digits must be at least 10")
         needed = math.ceil((self.target_digits + self.guard_digits) * _LOG2_10)
         if self.bits < needed:
             raise ValueError(
@@ -87,16 +86,14 @@ class PrecisionContext:
             )
 
     @classmethod
-    def from_digits(cls, target_digits: int, guard_digits: int = 10) -> "PrecisionContext":
+    def from_digits(cls, target_digits: int) -> "PrecisionContext":
         """Smallest valid context for the requested decimal accuracy."""
-        bits = max(64, math.ceil((target_digits + guard_digits) * _LOG2_10) + 4)
-        return cls(bits=bits, target_digits=target_digits, guard_digits=guard_digits)
+        bits = max(64, math.ceil((target_digits + cls.guard_digits) * _LOG2_10) + 4)
+        return cls(bits=bits, target_digits=target_digits)
 
     def widened(self, extra_digits: int) -> "PrecisionContext":
         """A context with `extra_digits` more decimal digits of headroom."""
-        return PrecisionContext.from_digits(
-            self.target_digits + extra_digits, self.guard_digits
-        )
+        return PrecisionContext.from_digits(self.target_digits + extra_digits)
 
     @property
     def eps(self) -> mpf:

@@ -86,7 +86,17 @@ def _size(rel) -> int:
     return math.prod(abs(c) for c in rel if c)
 
 
+def _credible(resid, rel, accept) -> bool:
+    """A relation's residual is credible when it lies below `accept` and
+    SAFETY_DIGITS below the chance level 1/_size(rel) of its coefficients."""
+    return resid < accept and resid * _size(rel) * 10 ** SAFETY_DIGITS <= 1
+
+
 def _coerce_values(values, precision_digits: int):
+    """The values as mpfs for a search at precision_digits; a BigReal must
+    carry the bits that precision asks for."""
+    if precision_digits < 10:
+        raise DomainError("precision budget below 10 digits is meaningless here")
     need_bits = int(math.ceil(precision_digits * math.log2(10)))
     ctx = PrecisionContext.from_digits(precision_digits + 10)
     out = []
@@ -121,16 +131,13 @@ def find_integer_relation(
     """
     if len(values) < 2:
         raise DomainError("integer-relation detection needs at least two values")
-    if precision_digits < 10:
-        raise DomainError("precision budget below 10 digits is meaningless here")
-    xs = _coerce_values(values, precision_digits)
-    prec = int((precision_digits + 20) * 3.33) + 32
-    rel = _pslq(xs, prec, precision_digits, coefficient_cap)
+    rel = _pslq(_coerce_values(values, precision_digits), precision_digits, coefficient_cap)
     return None if rel is None else tuple(rel)
 
 
-def _pslq(xs, prec: int, precision_digits: int, cap: int):
+def _pslq(xs, precision_digits: int, cap: int):
     n = len(xs)
+    prec = int((precision_digits + 20) * 3.33) + 32
     with mp.workprec(prec):
         scale = max(abs(x) for x in xs)
         if scale == 0:
@@ -180,7 +187,7 @@ def _pslq(xs, prec: int, precision_digits: int, cap: int):
             with mp.workprec(prec + 32):
                 resid = abs(mpmath.fsum(mpf(c) * x for c, x in zip(rel, xs)))
                 # a chance relation is passed over, not reported
-                if resid >= accept or resid * _size(rel) * 10 ** SAFETY_DIGITS > 1:
+                if not _credible(resid, rel, accept):
                     return "reject", None
             if max(abs(c) for c in rel) > cap:
                 return "cap", None
@@ -357,14 +364,12 @@ def recognize(value, basis, precision_digits: int):
     ctx = PrecisionContext.from_digits(precision_digits + 10)
     target = value if isinstance(value, BigReal) else make_real(as_mpf(value, ctx), ctx)
     # too coarse an input is an error, not a search that cannot succeed
-    _coerce_values([target] + [b.value for b in basis], precision_digits)
+    xs = _coerce_values([target] + [b.value for b in basis], precision_digits)
 
     active = list(range(len(basis)))
     while active:
         try:
-            rel = find_integer_relation(
-                [target] + [basis[i].value for i in active], precision_digits
-            )
+            rel = _pslq([xs[0]] + [xs[i + 1] for i in active], precision_digits, COEFFICIENT_CAP)
         except PrecisionError:
             return []
         if rel is None:
@@ -389,8 +394,7 @@ def recognize(value, basis, precision_digits: int):
                 + [mpf(c) * b.at(sharp_ctx).value for c, b in zip(key[1:], basis) if c]
             )
         )
-        if (resid >= mpf(10) ** (-(precision_digits - SAFETY_DIGITS))
-                or resid * _size(key) * 10 ** SAFETY_DIGITS > 1):
+        if not _credible(resid, key, mpf(10) ** (-(precision_digits - SAFETY_DIGITS))):
             return []
         resid = +resid
     conf = int(mpmath.floor(-mpmath.log10(resid))) if resid > 0 else precision_digits

@@ -9,7 +9,7 @@ are computed by separate formulas.  The identity holds exactly while the
 total frequency sum_{k=0}^{N} 1/(2k+1) stays below 2*pi (a Poisson-summation
 aliasing criterion) and first fails at N = 40249.
 
-For N <= 12 both sides are exact sums over the same 2^N sign patterns of
+For N <= 16 both sides are exact sums over the same 2^N sign patterns of
 the frequencies sum_k (+/-)1/(2k+1), enumerated once in integers
 (`_sign_patterns`).  Sum side: the product of sines is a signed sum of
 cosines or sines at those frequencies, whose Fourier series sum_n
@@ -18,11 +18,14 @@ sum is a polynomial in 2*pi with rational coefficients built from the
 patterns' power sums.  Integral side: Borwein's sign sum gives r*pi with r
 rational, 1/2 for N <= 6 and exactly below that at N = 7.
 
+The sum side's Bernoulli form holds while every frequency lies in
+[0, 2 pi], that is while sum_k 1/(2k+1) < 2 pi, so up to N = 40248; the
+limit of 16 is set by cost (2^16 patterns take about half a second).
 Beyond, the sum is summed directly under the rigorous tail bound D/(N n^N),
 D = (2N+1)!! (this route shares nothing with the sign patterns and checks
 them on overlapping cases), and the integral by panelled tanh-sinh
-quadrature on [0, T] under the envelope tail bound D/(N T^N), refused past
-_PANEL_CAP panels.
+quadrature on [0, T] under the envelope tail bound D/(N T^N), refused when
+its work, panels x (N+1) factors x working bits, passes _PANEL_CAP.
 """
 
 from __future__ import annotations
@@ -47,13 +50,16 @@ from .precision import (
 )
 
 #: Largest N evaluated in closed form on both sides, over 2^N sign patterns.
-EXPANSION_LIMIT = 12
+EXPANSION_LIMIT = 16
 
 #: Direct summation refuses more terms than this.
 _DIRECT_TERM_CAP = 5_000_000
 
-#: The panelled integral (N > EXPANSION_LIMIT) refuses more panels than this.
-_PANEL_CAP = 2_000
+#: The panelled integral (N > EXPANSION_LIMIT) refuses more work than this,
+#: counted as panels x (N+1) sinc factors x working bits: N = 17 at 30 digits
+#: (eps 1e-28, 206 panels at 137 bits) is half of it and takes about 8 s
+#: with pure-Python mpmath.
+_PANEL_CAP = 1_000_000
 
 #: threshold_scan refuses a crossing index whose estimate needs more bits.
 _SCAN_PREC_CAP = 4096
@@ -171,9 +177,9 @@ def _sum_coefficients(N: int) -> list[Fraction]:
     sum_gamma eps sigma trig(|B| x/P), with trig = cos, sigma = 1 for even s
     and trig = sin, sigma = sgn(B) for odd s.  Each sum_n trig(n theta)/n^s
     is (-1)^(s//2+1) (2 pi)^s / (2 s!) b_s(theta/(2 pi)) on [0, 2 pi], where
-    every |B|/P lies for N <= 12.  The two signs multiply to -1, so with the
-    power sums S_k = sum eps sigma |B|^k and the Bernoulli numbers b_j,
-    q_j = -P C(s, j) b_j S_(s-j) / (2^s s! P^(s-j)).
+    every |B|/P lies while sum_k 1/(2k+1) < 2 pi.  The two signs multiply to
+    -1, so with the power sums S_k = sum eps sigma |B|^k and the Bernoulli
+    numbers b_j, q_j = -P C(s, j) b_j S_(s-j) / (2^s s! P^(s-j)).
     """
     s = N + 1
     P, signed = _sign_patterns(N)
@@ -208,16 +214,14 @@ def sinc_sum(N: int, eps, ctx: PrecisionContext) -> BigReal:
                 acc = acc * two_pi + _frac_to_mpf(q)
             total = +(mpf(1) / 2 + acc)
         return make_real(total, ctx)
-    value, _bound = _direct_sum(N, eps, ctx)
-    return make_real(value, ctx)
+    return make_real(_direct_sum(N, eps, ctx), ctx)
 
 
 def sinc_sum_direct(N: int, eps, ctx: PrecisionContext) -> BigReal:
     """The truncated-summation route, exposed as an independent cross-check."""
     if N < 1:
         raise DomainError("N must be at least 1")
-    value, _bound = _direct_sum(N, eps, ctx)
-    return make_real(value, ctx)
+    return make_real(_direct_sum(N, eps, ctx), ctx)
 
 
 def _direct_terms_needed(N: int, eps_tail: float) -> int:
@@ -247,9 +251,7 @@ def _direct_sum(N: int, eps, ctx: PrecisionContext):
                 if prod == 0:
                     break
             total += prod
-        D = _odd_double_factorial(N)
-        bound = +(mpf(D) / (N * mpf(M) ** N))
-        return +total, bound
+        return +total
 
 
 def sinc_integral_ratio(N: int) -> Fraction:
@@ -292,18 +294,19 @@ def sinc_integral(N: int, eps, ctx: PrecisionContext) -> BigReal:
 def _panel_integral(N: int, eps_v: mpf, ctx: PrecisionContext) -> mpf:
     """Tanh-sinh quadrature over panels of length 3 on [0, T], with the
     envelope tail D/(N T^N) (D = prod (2k+1)) below eps/2.  Valid for every
-    N, so it checks the closed form too.  More than _PANEL_CAP panels raise
-    ConvergenceError before any quadrature.
+    N, so it checks the closed form too.  Work past _PANEL_CAP (panels x
+    (N+1) factors x ctx.bits) raises ConvergenceError before any quadrature.
     """
     D = _odd_double_factorial(N)
     log_t = (math.log10(2 * D) - math.log10(N) - float(mpmath.log10(eps_v))) / N
     panel_len = 3
     T = int(math.ceil(10 ** min(log_t, 18))) + 1  # 10^18 is far past the cap
     n_panels = (T + panel_len - 1) // panel_len
-    if n_panels > _PANEL_CAP:
+    if n_panels * (N + 1) * ctx.bits > _PANEL_CAP:
         raise ConvergenceError(
             f"the sinc integral for N={N} at eps={mpmath.nstr(eps_v, 3)} runs to T ~ 10^{log_t:.1f}: "
-            f"more than {_PANEL_CAP} quadrature panels"
+            f"{n_panels} quadrature panels of {N + 1} factors at {ctx.bits} bits pass the work cap "
+            f"{_PANEL_CAP}"
         )
 
     def f(x: mpf) -> mpf:

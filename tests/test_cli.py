@@ -1,6 +1,8 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +12,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import expmath
 from expmath import digit_walks
-from expmath.cli import run
+from expmath.cli import build_parser, run
 from expmath.precision import PrecisionContext, parse_decimal
 
 CINF_50 = "0.63047350337438679612204019271087890435458707871273"
@@ -326,6 +329,8 @@ class TestUsageErrors:
 
     def test_invalid_digits(self, capsys):
         assert run(["pi", "--digits", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --digits: --digits takes an integer >= 1, got '0'" in err
 
     def test_invalid_size_spec(self, capsys):
         assert run(["walk", "--size", "tiny"]) == 2
@@ -356,11 +361,64 @@ class TestUsageErrors:
             ["threshold", "--threshold", "1/0"],
             ["threshold", "--threshold", "7/2/1"],
             ["threshold", "--threshold", "inf"],
+            # p/q is a decimal flag's grammar too; q = 0 used to escape as a traceback
+            ["agm", "--a", "1/0"],
         ],
     )
     def test_malformed_decimal(self, argv, capsys):
         assert run(argv) == 2
         assert argv[1] in capsys.readouterr().err
+
+    def test_recognize_takes_value_or_list_basis_not_both(self, capsys):
+        assert run(["recognize", "--value", "0.5", "--list-basis"]) == 2
+        captured = capsys.readouterr()
+        assert "--list-basis" in captured.err and captured.out == ""
+
+    def test_index_range_is_not_built_at_parse_time(self):
+        args = build_parser().parse_args(["cn", "--n", "1..99999999999"])
+        assert args.n == range(1, 100_000_000_000)
+
+
+#: (subcommand, flag) for every flag that takes a typed value
+TYPED_FLAGS = [
+    ("pi", "--digits"), ("pi", "--iterations"), ("cn", "--n"), ("cn", "--eps"),
+    ("sinc", "--N"), ("sinc", "--eps"), ("threshold", "--threshold"), ("bb", "--tol"),
+    ("bb", "--x0"), ("bb", "--max-iter"), ("bb", "--seed"), ("bb", "--dimension"),
+    ("agm", "--a"), ("agm", "--b"), ("recognize", "--value"), ("walk", "--base"),
+    ("walk", "--size"),
+]
+
+#: text near the flags' grammar: two number-like pieces joined as a ratio,
+#: range, size, list or decimal, and text of any kind
+_PIECE = st.sampled_from(["0", "1", "-1", "99999999999", "1e400", "nan", ""])
+FLAG_TEXT = st.one_of(
+    st.tuples(_PIECE, st.sampled_from(["/", "..", "x", ",", "."]), _PIECE).map("".join),
+    st.text(),
+)
+
+
+class TestParseBoundary:
+    """Whatever text a typed flag is given, parsing either keeps it or
+    refuses it the one way: exit 2, with ``FLAG takes`` on stderr."""
+
+    PARSER = build_parser()
+
+    def test_every_typed_flag_is_listed(self):
+        sub = next(a for a in self.PARSER._actions if a.choices and a.dest == "subcommand")
+        typed = {(name, a.option_strings[0]) for name, p in sub.choices.items()
+                 for a in p._actions if a.type is not None}
+        assert typed == set(TYPED_FLAGS) | {(name, "--digits") for name in sub.choices}
+
+    @pytest.mark.parametrize("subcommand, flag", TYPED_FLAGS)
+    @given(text=FLAG_TEXT)
+    def test_text_parses_or_is_refused_with_the_flag_named(self, subcommand, flag, text):
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                self.PARSER.parse_args([subcommand, f"{flag}={text}"])
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert f"{flag} takes" in err.getvalue()
 
 
 class TestSinc:
@@ -381,10 +439,18 @@ class TestSinc:
         assert "lhs = 1.5707963267949" in out
         assert "truncation_bound = " in out
 
-    def test_integral_past_the_panel_cap_fails_fast(self, capsys):
-        # N = 13 at 40 digits needs T ~ 2e4, about 7400 panels (minutes)
+    def test_closed_form_through_sixteen(self, capsys):
+        # N = 13 at 25 digits took 12 s by panelled quadrature
         start = time.monotonic()
-        assert run(["sinc", "--N", "13", "--digits", "40"]) == 1
+        assert run(["sinc", "--N", "13", "--digits", "25", "--format", "json"]) == 0
+        assert time.monotonic() - start < 1.0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lhs"] == payload["rhs"] == "1.570794253715952910068919"
+
+    def test_integral_past_the_panel_cap_fails_fast(self, capsys):
+        # N = 17 at 40 digits needs T ~ 4700, about 1570 panels at 187 bits (minutes)
+        start = time.monotonic()
+        assert run(["sinc", "--N", "17", "--digits", "40"]) == 1
         assert time.monotonic() - start < 1.0
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "panels" in captured.err
