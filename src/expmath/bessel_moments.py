@@ -21,8 +21,10 @@ The integrand's mass sits where K0(t) is about n/2, near t = 2 e^{-gamma-n/2}
 exp-sinh sum's quiet-tail cut to stop before it, the quadrature runs in
 x = t / 2^k instead, with the exact power of two 2^k chosen to put the peak
 at x in [1, 2) (Takahasi and Mori, Publ. RIMS 9 (1974) 721).  Smaller n keep
-k = 0, so their nodes and ln K0 values stay shared across n and tolerances;
-the same memo holds each node's ln x, so a repeated node costs no logarithm.
+k = 0, so their nodes and ln K0 values stay shared across n and tolerances.
+Each node hands over its own ln x (the quadrature's certified exp-sinh
+abscissae carry it), so neither the integrand nor the certificate takes a
+logarithm per node.
 """
 
 from __future__ import annotations
@@ -45,13 +47,11 @@ from .precision import (
 
 
 @lru_cache(maxsize=400_000)
-def _log_k0_cached(x_mpf: tuple, k: int, prec: int) -> tuple:
-    """(ln x, ln K0(2^k x)) shared across integrals and across n, keyed by
-    the exact binary node x (an mpf's raw tuple), the shift exponent k and
-    the working precision.  Both logarithms are taken at `prec`."""
-    with mp.workprec(prec):
-        log_x = mpmath.ln(mpf(x_mpf))
-    return log_x, functions._log_k0_raw(mpf(mpf_shift(x_mpf, k)), prec)
+def _log_k0_cached(x_mpf: tuple, k: int, prec: int) -> mpf:
+    """ln K0(2^k x) shared across integrals and across n, keyed by the exact
+    binary node x (an mpf's raw tuple), the shift exponent k and the working
+    precision."""
+    return functions._log_k0_raw(mpf(mpf_shift(x_mpf, k)), prec)
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,18 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
         # about x, so the floor on ln f sits -k ln 2 lower
         exp_floor = (k - prec) * ln2 - 64
 
+        # x is a certified exp-sinh abscissa over (0, inf): x.ln is ln x
         def integrand(x: mpf) -> mpf:
-            log_x, log_k0 = _log_k0_cached(x._mpf_, k, prec)
-            arg = prefactor + log_x + n * log_k0
+            arg = prefactor + x.ln + n * _log_k0_cached(x._mpf_, k, prec)
             if arg < exp_floor:
                 return mpf(0)
             return mpmath.exp(arg)
 
         def log_bound(x: mpf) -> mpf:
             # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail bracket)
-            # ln 2t = ln x + (k + 1) ln 2, one logarithm per node
+            # ln 2t = ln x + (k + 1) ln 2
             t = mpmath.ldexp(x, k)
-            log_x = mpmath.ln(x)
-            return prefactor + log_x + n * (half_log - (log_x + (k + 1) * ln2) / 2 - t)
+            return prefactor + x.ln + n * (half_log - (x.ln + (k + 1) * ln2) / 2 - t)
 
         # t >= 2 is x >= 2^{1-k}: an mpf, since a float overflows once k < -1023
         certificate = quadrature.DecayCertificate(

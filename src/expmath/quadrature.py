@@ -14,11 +14,13 @@ nodes are stored as distances from the nearer endpoint, so an integrand
 like x^(-1/2) on (0, b) receives arguments accurate to full working
 precision arbitrarily close to its singularity; the interval's centre and
 half-width are formed at that working precision too.  A semi-infinite
-node's large-side entry also carries ln w, so a decay certificate's skip
-test compares logarithms without taking one per node and call.  Tails of each
-trapezoid sum are cut adaptively: a sweep stops once several consecutive
-node pairs contribute below the tolerance, which is what makes endpoint
-singularities converge at the same rate as smooth integrands.
+node, once a certified sweep has read it, carries ln w for its large side
+and hands its abscissae over as mpfs that carry ln x, so neither the
+certificate's skip test nor a log-space integrand takes a logarithm per node
+and call; a sweep without a certificate takes none of these logarithms.
+Tails of each trapezoid sum are cut adaptively: a sweep stops once several
+consecutive node pairs contribute below the tolerance, which is what makes
+endpoint singularities converge at the same rate as smooth integrands.
 
 All summation is sequential in a fixed node order, so results are exactly
 reproducible run to run.
@@ -47,6 +49,21 @@ DEFAULT_MAX_LEVEL = 12
 #: integrals.  A table grows only as far as some sweep has read it.  Entries
 #: are pure functions of the key, so the cache is observationally stateless.
 _NODE_CACHE: dict = {}
+
+
+class _LogAbscissa(mpf):
+    """An exp-sinh abscissa that carries its own logarithm as `ln`, taken
+    once at the node table's precision.  A sweep over (0, inf) with a decay
+    certificate hands these to the integrand and to the certificate, which
+    still see an mpf."""
+
+    __slots__ = ("ln",)
+
+    def __new__(cls, x: mpf):
+        self = object.__new__(cls)
+        self._mpf_ = x._mpf_
+        self.ln = mpmath.ln(x)
+        return self
 
 
 @dataclass(frozen=True)
@@ -82,7 +99,7 @@ class DecayCertificate:
     log_bound: Callable[[mpf], mpf]
 
 
-def _nodes(kind: str, prec: int, level: int):
+def _nodes(kind: str, prec: int, level: int, bare: bool = False):
     """Yield the (kind, prec, level) node table in ascending t, building
     each node the first time any sweep reads it.
 
@@ -93,8 +110,12 @@ def _nodes(kind: str, prec: int, level: int):
       the sweep mirrors it onto both endpoints.
     - "es" (x = e^a): (x, w, 1/x, w', ln w) for t and -t, the small abscissa
       kept as the exponential itself for full relative precision near 0.
-      ln w, for the large side only, is what a decay certificate's skip
-      test reads; no present caller's certificate reaches the small side.
+      The logarithms are taken on the node's first read that is not
+      `bare`: both abscissae become `_LogAbscissa`s and ln w, for the large
+      side only, is what a decay certificate's skip test reads; no present
+      caller's certificate reaches the small side.  A bare read, for a
+      sweep that reads no logarithm, yields the node as it stands, with
+      ln w None until some other read has taken it.
     A table ends at None, once its nodes are past any resolvable tail.
     """
     table = _NODE_CACHE.setdefault((kind, prec, level), [])
@@ -118,11 +139,16 @@ def _nodes(kind: str, prec: int, level: int):
                     ea = mpmath.exp(a)
                     wf = half_pi * cosh_t
                     w = ea * wf
-                    node = (ea, w, 1 / ea, wf / ea, mpmath.ln(w))
+                    node = (ea, w, 1 / ea, wf / ea, None)
             table.append(node)
-        if table[index] is None:
+        node = table[index]
+        if node is None:
             return
-        yield table[index]
+        if kind == "es" and node[4] is None and not bare:
+            x, w, x_small, w_small, _ = node
+            with mp.workprec(prec):
+                node = table[index] = (_LogAbscissa(x), w, _LogAbscissa(x_small), w_small, mpmath.ln(w))
+        yield node
         index += 1
 
 
@@ -145,12 +171,25 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
         if not eps > 0:
             raise ValueError("eps must be positive")
         if b is None:
-            kind, centre, hw = "es", a + 1, mpf(1)
+            kind, centre, hw = "es", a + 1 if a else _LogAbscissa(mpf(1)), mpf(1)
         else:
             kind, centre, hw = "ts", (a + b) / 2, (b - a) / 2
         cert_beyond = mpf(tail_bound.beyond) if tail_bound is not None else None
         half_pi = mpmath.pi / 2
         noise = mpmath.ldexp(1, -(prec - 10))
+        ln2 = mpmath.ln(2)
+
+        def exceeds(fv, limit):
+            """ln|fv| > limit, read off fv's binary exponent m, since
+            2^(m-1) <= |fv| < 2^m; the logarithm is taken only when limit
+            lies within roundoff of [(m-1) ln 2, m ln 2]."""
+            m = mpmath.mag(fv)
+            slack = noise * (abs(m) + abs(limit))
+            if m * ln2 < limit - slack:
+                return False
+            if (m - 1) * ln2 > limit + slack:
+                return True
+            return mpmath.ln(abs(fv)) > limit
 
         def evaluate(y, weight, log_weight=None):
             """One weighted integrand evaluation under the tail policy;
@@ -170,7 +209,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                     ) from exc
                 if not mpmath.isfinite(fv):
                     return mpf(0)  # under/overflow under certificate: exact zero by contract
-                if fv != 0 and mpmath.ln(abs(fv)) > bound + mpf(2):
+                if fv != 0 and exceeds(fv, bound + 2):
                     raise TailBoundError(
                         f"integrand exceeds its decay certificate at y={mpmath.nstr(y, 8)}"
                     )
@@ -193,12 +232,16 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             h = mpf(2) ** (-level)
             term_floor = eps * scale_est / 16
             log_term_floor = mpmath.ln(term_floor)
+            # |contrib| * h < term_floor, exactly, since h is a power of two
+            tail_floor = term_floor / h
             part = evaluate(centre, half_pi * hw) if level == 0 else mpf(0)
             quiet = 0
-            for index, node in enumerate(_nodes(kind, prec, level), 1):
+            for index, node in enumerate(_nodes(kind, prec, level, tail_bound is None), 1):
                 if b is None:
                     x, w, x_small, w_small, log_w = node
-                    contrib = evaluate(a + x, w, log_w) + evaluate(a + x_small, w_small)
+                    if a:
+                        x, x_small = a + x, a + x_small
+                    contrib = evaluate(x, w, log_w) + evaluate(x_small, w_small)
                 else:
                     d, w = node
                     offset, weight = d * hw, w * hw
@@ -207,7 +250,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                 # Tail cut: several consecutive negligible contributions, but
                 # never before t = j*h reaches past the weight hump at ~1.
                 if index * h >= 1:
-                    if abs(contrib) * h < term_floor:
+                    if abs(contrib) < tail_floor:
                         quiet += 1
                         if quiet >= 3:
                             break

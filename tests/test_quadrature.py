@@ -348,6 +348,33 @@ class TestDecayCertificate:
             _check(r, mpmath.besselk(0, 1), mpf(10) ** -38)
 
 
+    def test_logs_wait_for_a_certified_read(self):
+        # a sweep without a certificate reads no logarithm, so it takes none;
+        # the first certified sweep over the same nodes takes them, and its
+        # integrand and certificate receive ln x with every abscissa
+        ctx = PrecisionContext.from_digits(23)
+        prec = ctx.bits + 16
+        for key in [key for key in quadrature._NODE_CACHE if key[1] == prec]:
+            del quadrature._NODE_CACHE[key]
+        quadrature.integrate_semi_infinite(lambda x: mpmath.exp(-x), 0, mpf(10) ** -20, ctx)
+        tables = [t for (kind, p, _), t in quadrature._NODE_CACHE.items() if (kind, p) == ("es", prec)]
+        assert tables and all(node[4] is None for t in tables for node in t if node)
+        seen = []
+
+        def integrand(x):
+            seen.append(x)
+            return mpmath.exp(-x)
+
+        def log_bound(x):
+            seen.append(x)
+            return -x
+
+        cert = quadrature.DecayCertificate(beyond=2.0, log_bound=log_bound)
+        r = quadrature.integrate_semi_infinite(integrand, 0, mpf(10) ** -20, ctx, tail_bound=cert)
+        with mp.workprec(prec):
+            _check(r, mpf(1), mpf(10) ** -19)
+            assert seen and all(x.ln == mpmath.ln(x) for x in seen)
+
     def test_large_side_node_carries_its_log_weight(self):
         # the skip test reads ln w from the table; it must be the very bits
         # mpmath.ln(w) gives at the table's precision
