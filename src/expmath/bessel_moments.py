@@ -150,7 +150,7 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
     if not result.converged:
         raise ConvergenceError(
             f"C_{n} quadrature did not reach eps={mpmath.nstr(eps_v, 4)} "
-            f"(last level difference {mpmath.nstr(result.error_estimate.value, 4)})"
+            f"(error estimate {mpmath.nstr(result.error_estimate.value, 4)})"
         )
     return CnRecord(n=n, value=result.value, error_estimate=result.error_estimate)
 

@@ -36,6 +36,8 @@ from . import quadrature, relations, sinc_identity
 from .precision import BigReal, NumericsError, PrecisionContext, _from_decimal, parse_decimal
 
 _DEFAULT_DIGITS = 30
+#: the most indices one ``cn --n lo..hi`` may span: each is a c_n call
+_N_RANGE_CAP = 1000
 
 
 def _env_default_digits() -> int:
@@ -127,9 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed iteration count; reports per-iteration errors")
 
     p = command("cn", _cmd_cn, "Bessel-moment integrals C_n")
-    p.add_argument("--n", type=_flag("--n", _n_range, lambda r: 1 <= r.start < r.stop,
-                                     "a positive integer (n >= 1) or a range like 1..32"),
-                   default="4", help="index or range, e.g. 4 or 1..10")
+    p.add_argument("--n", type=_flag("--n", _n_range,
+                                     lambda r: 1 <= r.start < r.stop <= r.start + _N_RANGE_CAP,
+                                     "a positive integer (n >= 1) or a range like 1..32 "
+                                     f"of at most {_N_RANGE_CAP} indices"),
+                   default="4",
+                   help=f"index or range, e.g. 4 or 1..10; a range spans at most {_N_RANGE_CAP} indices")
     p.add_argument("--eps", type=eps, default=None, help="target accuracy, e.g. 1e-25")
 
     command("cinf", _cmd_cinf, "the limit value 2*exp(-2*gamma)", digits=50)
@@ -187,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", default="pi")
     p.add_argument("--base", type=_int_flag("--base", 2), default=4)
     p.add_argument("--size", default=512,
-                   type=_flag("--size", _size, lambda v: True, "N or WxH, e.g. 512 or 800x600"))
+                   type=_flag("--size", _size, lambda v: True, "N or WxH, e.g. 512 or 800x600"),
+                   help="N or WxH pixels, at least 16x16; a PPM may take at most "
+                        f"{digit_walks.PPM_BYTE_BUDGET >> 20} MiB (3*W*H bytes)")
     p.add_argument("--color", choices=("progress", "mono"), default="progress")
     p.add_argument("--image-format", choices=("ppm", "svg"), default=None,
                    help="defaults to the --out extension, else svg")

@@ -164,6 +164,11 @@ def walk(stream: DigitStream) -> WalkPath:
 # rendering
 
 
+#: the largest PPM pixel buffer (3*W*H bytes) `render` allocates, about
+#: 4700x4700; SVG output does not grow with the size and has no cap
+PPM_BYTE_BUDGET = 64 << 20
+
+
 def _parse_size(size):
     if isinstance(size, int):
         w = h = size
@@ -296,5 +301,10 @@ def render(path: WalkPath, format: str = "ppm", size=512, color_mode: str = "pro
         raise DomainError("color_mode must be 'progress' or 'mono'")
     width, height = _parse_size(size)
     if format == "ppm":
+        if 3 * width * height > PPM_BYTE_BUDGET:
+            raise DomainError(
+                f"a {width}x{height} PPM needs {3 * width * height} bytes, above the "
+                f"{PPM_BYTE_BUDGET >> 20} MiB budget; render SVG or a smaller size"
+            )
         return _render_ppm(path, width, height, color_mode)
     return _render_svg(path, width, height, color_mode)

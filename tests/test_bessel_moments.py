@@ -1,6 +1,8 @@
 """Moments of powers of K_0: known values, monotone decrease, large n, 2-D oracle."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -244,7 +246,7 @@ class TestLargeN:
         with pytest.raises(ConvergenceError) as info:
             bessel_moments.c_n(4, PrecisionContext.from_digits(30))
         estimate = mpmath.nstr(seen[0].error_estimate.value, 4)
-        assert f"last level difference {estimate}" in str(info.value)
+        assert f"error estimate {estimate}" in str(info.value)
         assert "best estimate" not in str(info.value)
 
     @settings(max_examples=60)
@@ -256,6 +258,42 @@ class TestLargeN:
         with mp.workprec(ctx.bits + 16):
             slack = rec.error_estimate.value + mpf(10) ** -(digits - 5)
             assert limit - slack < rec.value.value <= 2
+
+
+class TestErrorEstimate:
+    """c_n's error_estimate bounds its true error, and the true error stays
+    within eps, at the benchmark's three tolerances and at the CLI's
+    `cn --digits d` settings (context max(d + 5, 30) digits, eps 10^-(d+3))
+    for d = 12 and 30."""
+
+    SETTINGS = [(30, 25), (45, 40), (60, 52), (30, 15), (35, 33)]
+    REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+    def test_estimate_bounds_the_error(self):
+        with mp.workdps(90):
+            exact = {
+                1: mpf(2),
+                2: mpf(1),
+                # L_{-3}(2) = (psi'(1/3) - psi'(2/3)) / 9
+                3: (mpmath.psi(1, mpf(1) / 3) - mpmath.psi(1, mpf(2) / 3)) / 9,
+                4: 7 * mpmath.zeta(3) / 12,
+            }
+            # 64 digits each, by mpmath.besselk under mpmath.quad
+            references = json.loads(self.REFERENCES.read_text())["c_n"]
+            exact.update((int(n), mpf(v)) for n, v in references.items())
+        under, over_eps = [], []
+        for digits, eps_exp in self.SETTINGS:
+            with mp.workprec(64):
+                eps = mpf(10) ** -eps_exp
+            for n, ref in sorted(exact.items()):
+                rec = bessel_moments.c_n(n, PrecisionContext.from_digits(digits), eps)
+                with mp.workdps(90):
+                    err = abs(rec.value.value - ref)
+                    if err > rec.error_estimate.value:
+                        under.append((n, digits, eps_exp))
+                    if err > eps:
+                        over_eps.append((n, digits, eps_exp))
+        assert under == [] and over_eps == []
 
 
 class TestTwoDimensionalOracle:
@@ -316,7 +354,7 @@ class TestBitIdentity:
             rec = bessel_moments.c_n(n, PrecisionContext.from_digits(digits), eps)
             raws.append((rec.value.value._mpf_, rec.error_estimate.value._mpf_))
         digest = hashlib.sha256(repr(raws).encode()).hexdigest()
-        assert digest == "7ed37c111d5fe3867d369cb37bb049e39856e44429afe492737aa0eb6ca4a327"
+        assert digest == "27415da77ecd7ca2881adbacee8349e271c38398aee6237d58ee5f9989080391"
 
 
 class TestRecordValidation:

@@ -374,9 +374,22 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "--list-basis" in captured.err and captured.out == ""
 
-    def test_index_range_is_not_built_at_parse_time(self):
-        args = build_parser().parse_args(["cn", "--n", "1..99999999999"])
-        assert args.n == range(1, 100_000_000_000)
+    def test_over_long_index_range_is_refused_before_any_moment(self, monkeypatch, capsys):
+        # each index is a c_n call: a range past the cap is a usage error at
+        # parse time, and one at the cap is kept as a range, not a list
+        from expmath import bessel_moments
+        from expmath.cli import _N_RANGE_CAP
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("c_n ran")
+
+        monkeypatch.setattr(bessel_moments, "c_n", refuse)
+        for text in ("1..1000000000", f"5..{5 + _N_RANGE_CAP}", "1..1" + "0" * 40):
+            assert run(["cn", "--n", text]) == 2
+            err = capsys.readouterr().err
+            assert "--n takes" in err and f"at most {_N_RANGE_CAP} indices" in err
+        args = build_parser().parse_args(["cn", "--n", f"5..{4 + _N_RANGE_CAP}"])
+        assert args.n == range(5, 5 + _N_RANGE_CAP)
 
 
 #: (subcommand, flag) for every flag that takes a typed value
@@ -515,7 +528,7 @@ class TestDigitCap:
 
 # Exact stdout of every subcommand in each format at small sizes.  "CINF"
 # in an argv stands for CINF_50.  The cn CSV error column carries up to six
-# digits (2.09829e-17) where text and JSON carry three (2.10e-17).
+# digits (1.25000e-16) where text and JSON carry three (1.25e-16).
 GOLDEN_STDOUT = [
     ('pi --digits 12 --format text', '3.14159265359\n'),
     ('pi --digits 12 --format json', '{"digits":12,"value":"3.14159265359"}\n'),
@@ -541,33 +554,33 @@ GOLDEN_STDOUT = [
     ),
     (
         'cn --n 1..2 --digits 12 --format text',
-        'C_1 = 2.00000000000  (error <= 2.10e-17)\n'
-        'C_2 = 1.00000000000  (error <= 1.81e-19)\n'
+        'C_1 = 2.00000000000  (error <= 1.25e-16)\n'
+        'C_2 = 1.00000000000  (error <= 6.25e-17)\n'
     ),
     (
         'cn --n 1..2 --digits 12 --format json',
-        '{"records":[{"error_estimate":"2.10e-17","n":1'
-        ',"value":"2.00000000000"},{"error_estimate":"1.81e-19","n":2'
+        '{"records":[{"error_estimate":"1.25e-16","n":1'
+        ',"value":"2.00000000000"},{"error_estimate":"6.25e-17","n":2'
         ',"value":"1.00000000000"}]}\n'
     ),
     (
         'cn --n 1..2 --digits 12 --format csv',
         'n,value,error_estimate\n'
-        '1,2.00000000000,2.09829e-17\n'
-        '2,1.00000000000,1.80915e-19\n'
+        '1,2.00000000000,1.25000e-16\n'
+        '2,1.00000000000,6.25000e-17\n'
     ),
     (
         'cn --n 3 --digits 15 --eps 1e-12 --format text',
-        'C_3 = 0.781302412896486  (error <= 2.22e-13)\n'
+        'C_3 = 0.781302412896486  (error <= 6.25e-14)\n'
     ),
     (
         'cn --n 3 --digits 15 --eps 1e-12 --format json',
-        '{"records":[{"error_estimate":"2.22e-13","n":3,"value":"0.781302412896486"}]}\n'
+        '{"records":[{"error_estimate":"6.25e-14","n":3,"value":"0.781302412896486"}]}\n'
     ),
     (
         'cn --n 3 --digits 15 --eps 1e-12 --format csv',
         'n,value,error_estimate\n'
-        '3,0.781302412896486,2.22137e-13\n'
+        '3,0.781302412896486,6.25000e-14\n'
     ),
     ('cinf --digits 20 --format text', '0.63047350337438679612\n'),
     ('cinf --digits 20 --format json', '{"digits":20,"value":"0.63047350337438679612"}\n'),
@@ -700,21 +713,21 @@ GOLDEN_STDOUT = [
         'quad --integrand inv-sqrt --digits 12 --format text',
         'integrand = inv-sqrt\n'
         'value = 2.00000000000\n'
-        'error_estimate = 3.04e-15\n'
+        'error_estimate = 1.25e-15\n'
         'levels_used = 3\n'
         'converged = True\n'
         'reference = 2\n'
     ),
     (
         'quad --integrand inv-sqrt --digits 12 --format json',
-        '{"converged":true,"error_estimate":"3.04e-15","integrand":"inv-sqrt"'
+        '{"converged":true,"error_estimate":"1.25e-15","integrand":"inv-sqrt"'
         ',"levels_used":3,"reference":"2","value":"2.00000000000"}\n'
     ),
     (
         'quad --integrand inv-sqrt --digits 12 --format csv',
         'integrand,inv-sqrt\n'
         'value,2.00000000000\n'
-        'error_estimate,3.04e-15\n'
+        'error_estimate,1.25e-15\n'
         'levels_used,3\n'
         'converged,True\n'
         'reference,2\n'

@@ -1,6 +1,7 @@
 """Digit extraction in arbitrary bases and deterministic walk rendering."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -234,6 +235,24 @@ class TestRenderPpm:
         path = digit_walks.walk(s)
         with pytest.raises(DomainError):
             digit_walks.render(path, format="ppm", size=15)
+
+    def test_ppm_byte_budget(self):
+        # 20000x20000 would need 1.2 GB of pixels: refused before any buffer
+        # is allocated, while SVG, whose size does not grow with the image's,
+        # renders at that size
+        path = digit_walks.walk(digit_walks.digits("pi", 4, 10, _ctx()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="budget"):
+                digit_walks.render(path, format="ppm", size=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert digit_walks.render(path, format="svg", size=20000).startswith(b"<?xml")
+        side = int((digit_walks.PPM_BYTE_BUDGET // 3) ** 0.5)
+        with pytest.raises(DomainError, match="budget"):
+            digit_walks.render(path, format="ppm", size=(side + 1, side + 1))
 
     def test_rejects_unknown_options(self):
         s = digit_walks.digits("pi", 4, 10, _ctx())

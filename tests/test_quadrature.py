@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from expmath import quadrature
@@ -171,15 +172,24 @@ class TestSemiInfinite:
 class TestResultMetadata:
     def test_result_fields(self):
         ctx = PrecisionContext.from_digits(30)
-        r = quadrature.integrate_finite(
-            lambda x: mpmath.cos(x), 0, 1, mpf(10) ** -30, ctx
-        )
+        eps = mpf(10) ** -30
+        r = quadrature.integrate_finite(lambda x: mpmath.cos(x), 0, 1, eps, ctx)
         assert r.converged
-        assert r.levels_used >= 1
+        assert r.levels_used >= 2
         assert len(r.level_differences) == r.levels_used
         assert all(d >= 0 for d in r.level_differences)
-        # the recorded estimate is the last refinement difference
-        assert r.error_estimate.value == r.level_differences[-1]
+        # the recorded estimate is the largest of the rate term on the last
+        # two differences, the tail-cut floor and the roundoff term, and it
+        # is within the tolerance the sweep stopped at
+        prec = ctx.bits + 16
+        with mp.workprec(prec):
+            scale = max(mpf(1), abs(r.value.value))
+            before, last = r.level_differences[-2:]
+            assert last < before
+            rate = quadrature.RATE_SCALE * (last / scale) ** quadrature.RATE_ORDER * scale
+            roundoff = mpmath.ldexp(1, -(prec - 10)) * scale * (r.levels_used + 1)
+            assert r.error_estimate.value == max(rate, eps * scale / 16, roundoff)
+            assert r.error_estimate.value <= eps * scale
 
     def test_error_estimate_is_honest(self):
         ctx = PrecisionContext.from_digits(35)
@@ -199,6 +209,47 @@ class TestResultMetadata:
         )
         assert not r.converged
         assert r.levels_used == 1
+
+
+class TestErrorEstimateContract:
+    """A converged result's error_estimate bounds |value - exact|, on both
+    maps, for integrands with closed forms and their mass near x = 1."""
+
+    @staticmethod
+    def _check_bound(r, exact):
+        if r.converged:
+            assert abs(r.value.value - exact) <= r.error_estimate.value
+
+    @staticmethod
+    def _setting(digits, slack):
+        ctx = PrecisionContext.from_digits(digits)
+        with mp.workprec(64):
+            return ctx, mpf(10) ** -(digits - slack)
+
+    @settings(max_examples=30)
+    @given(p=st.floats(-0.9, 4), digits=st.integers(15, 45), slack=st.integers(0, 10))
+    def test_power_on_the_unit_interval(self, p, digits, slack):
+        ctx, eps = self._setting(digits, slack)
+        r = quadrature.integrate_finite(lambda x: x ** p, 0, 1, eps, ctx)
+        with mp.workprec(ctx.bits + 64):
+            self._check_bound(r, 1 / (mpf(p) + 1))
+
+    @settings(max_examples=30)
+    @given(b=st.floats(0.25, 4), c=st.floats(0.5, 2), digits=st.integers(15, 45),
+           slack=st.integers(0, 10))
+    def test_decay_on_a_finite_interval(self, b, c, digits, slack):
+        ctx, eps = self._setting(digits, slack)
+        r = quadrature.integrate_finite(lambda x: mpmath.exp(-c * x), 0, b, eps, ctx)
+        with mp.workprec(ctx.bits + 64):
+            self._check_bound(r, -mpmath.expm1(-c * mpf(b)) / c)
+
+    @settings(max_examples=30)
+    @given(c=st.floats(0.5, 2), digits=st.integers(15, 45), slack=st.integers(0, 10))
+    def test_decay_on_the_half_line(self, c, digits, slack):
+        ctx, eps = self._setting(digits, slack)
+        r = quadrature.integrate_semi_infinite(lambda x: mpmath.exp(-c * x), 0, eps, ctx)
+        with mp.workprec(ctx.bits + 64):
+            self._check_bound(r, 1 / mpf(c))
 
 
 class TestRefinementBehaviour:
