@@ -245,7 +245,7 @@ def _draw_segment(buf, width, height, a, b, rgb):
 
 def _render_ppm(path: WalkPath, width: int, height: int, color_mode: str) -> bytes:
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    buf = bytearray(b"\xff" * (3 * width * height))
+    buf = bytearray(b"\xff") * (3 * width * height)
     to_pixel = _pixel_mapper(path.points, width, height)
     pts = [to_pixel(p) for p in path.points]
     nseg = max(1, len(pts) - 1)
@@ -255,7 +255,7 @@ def _render_ppm(path: WalkPath, width: int, height: int, color_mode: str) -> byt
         else:
             rgb = (0, 0, 0)
         _draw_segment(buf, width, height, pts[i], pts[i + 1], rgb)
-    return header + bytes(buf)
+    return header + buf  # bytes, with one copy of the pixels
 
 
 def _render_svg(path: WalkPath, width: int, height: int, color_mode: str) -> bytes:
