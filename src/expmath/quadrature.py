@@ -14,10 +14,10 @@ nodes are stored as distances from the nearer endpoint, so an integrand
 like x^(-1/2) on (0, b) receives arguments accurate to full working
 precision arbitrarily close to its singularity; the interval's centre and
 half-width are formed at that working precision too.  A semi-infinite
-node, once a certified sweep has read it, carries ln w for its large side
-and hands its abscissae over as mpfs that carry ln x, so neither the
-certificate's skip test nor a log-space integrand takes a logarithm per node
-and call; a sweep without a certificate takes none of these logarithms.
+node x = e^a is built whole, once: its abscissae are mpfs that carry
+ln x = +-a, the map's own exponent, and its weights carry their
+logarithms, so neither the certificate's skip test nor a log-space
+integrand takes a logarithm per node and call.
 Tails of each trapezoid sum are cut adaptively: a sweep stops once several
 consecutive node pairs contribute below the tolerance, which is what makes
 endpoint singularities converge at the same rate as smooth integrands.
@@ -81,17 +81,16 @@ _NODE_CACHE: dict = {}
 
 
 class _LogAbscissa(mpf):
-    """An exp-sinh abscissa that carries its own logarithm as `ln`, taken
-    once at the node table's precision.  A sweep over (0, inf) with a decay
-    certificate hands these to the integrand and to the certificate, which
-    still see an mpf."""
+    """An exp-sinh abscissa x = e^a that carries a = ln x as `ln`.  A sweep
+    over (0, inf) hands these to the integrand and to a decay certificate,
+    which still see an mpf."""
 
     __slots__ = ("ln",)
 
-    def __new__(cls, x: mpf):
+    def __new__(cls, x: mpf, ln: mpf):
         self = object.__new__(cls)
         self._mpf_ = x._mpf_
-        self.ln = mpmath.ln(x)
+        self.ln = ln
         return self
 
 
@@ -131,7 +130,7 @@ class DecayCertificate:
     log_bound: Callable[[mpf], mpf]
 
 
-def _nodes(kind: str, prec: int, level: int, bare: bool = False):
+def _nodes(kind: str, prec: int, level: int):
     """Yield the (kind, prec, level) node table in ascending t, building
     each node the first time any sweep reads it.
 
@@ -140,14 +139,11 @@ def _nodes(kind: str, prec: int, level: int, bare: bool = False):
     - "ts" (x = tanh a): (d, w), d = 1 - |x| computed as 2/(e^{2a}+1) so it
       keeps full relative precision however small, w = (pi/2) cosh t / cosh^2 a;
       the sweep mirrors it onto both endpoints.
-    - "es" (x = e^a): (x, w, 1/x, w', ln w) for t and -t, the small abscissa
-      kept as the exponential itself for full relative precision near 0.
-      The logarithms are taken on the node's first read that is not
-      `bare`: both abscissae become `_LogAbscissa`s and ln w, for the large
-      side only, is what a decay certificate's skip test reads; no present
-      caller's certificate reaches the small side.  A bare read, for a
-      sweep that reads no logarithm, yields the node as it stands, with
-      ln w None until some other read has taken it.
+    - "es" (x = e^a): (x, w, ln w, 1/x, w', ln w') for t and -t, the small
+      abscissa kept as the exponential itself for full relative precision
+      near 0.  Both abscissae are `_LogAbscissa`s carrying +-a; ln w is
+      mpmath.ln(w) and ln w' = ln w - 2a, what a decay certificate's skip
+      test reads.
     A table ends at None, once its nodes are past any resolvable tail.
     """
     table = _NODE_CACHE.setdefault((kind, prec, level), [])
@@ -171,15 +167,13 @@ def _nodes(kind: str, prec: int, level: int, bare: bool = False):
                     ea = mpmath.exp(a)
                     wf = half_pi * cosh_t
                     w = ea * wf
-                    node = (ea, w, 1 / ea, wf / ea, None)
+                    log_w = mpmath.ln(w)
+                    node = (_LogAbscissa(ea, a), w, log_w,
+                            _LogAbscissa(1 / ea, -a), wf / ea, log_w - 2 * a)
             table.append(node)
         node = table[index]
         if node is None:
             return
-        if kind == "es" and node[4] is None and not bare:
-            x, w, x_small, w_small, _ = node
-            with mp.workprec(prec):
-                node = table[index] = (_LogAbscissa(x), w, _LogAbscissa(x_small), w_small, mpmath.ln(w))
         yield node
         index += 1
 
@@ -203,11 +197,13 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
         if not eps > 0:
             raise ValueError("eps must be positive")
         if b is None:
-            kind, centre, hw = "es", a + 1 if a else _LogAbscissa(mpf(1)), mpf(1)
+            kind, centre, hw = "es", a + 1 if a else _LogAbscissa(mpf(1), mpf(0)), mpf(1)
         else:
             kind, centre, hw = "ts", (a + b) / 2, (b - a) / 2
         cert_beyond = mpf(tail_bound.beyond) if tail_bound is not None else None
         half_pi = mpmath.pi / 2
+        # the centre's log weight, which only a certificate's skip test reads
+        log_centre_w = mpmath.ln(half_pi) if tail_bound is not None else None
         noise = mpmath.ldexp(1, -(prec - 10))
         ln2 = mpmath.ln(2)
 
@@ -223,35 +219,27 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                 return True
             return mpmath.ln(abs(fv)) > limit
 
-        def evaluate(y, weight, log_weight=None):
+        def evaluate(y, weight, log_weight):
             """One weighted integrand evaluation under the tail policy;
-            `log_weight` is ln(weight) when the node table carries it."""
-            if cert_beyond is not None and y >= cert_beyond:
+            `log_weight` is ln(weight), read only under a certificate."""
+            certified = cert_beyond is not None and y >= cert_beyond
+            if certified:
                 bound = tail_bound.log_bound(y)
-                if log_weight is None:
-                    log_weight = mpmath.ln(weight)
                 if bound < log_term_floor - log_weight:
                     return mpf(0)  # certified negligible; skip evaluation
-                try:
-                    fv = _coerce(f(y))
-                except ArithmeticError as exc:
-                    raise IntegrandError(
-                        f"integrand failed at y={mpmath.nstr(y, 8)} inside certified range "
-                        "with non-negligible bound"
-                    ) from exc
-                if not mpmath.isfinite(fv):
-                    return mpf(0)  # under/overflow under certificate: exact zero by contract
-                if fv != 0 and exceeds(fv, bound + 2):
-                    raise TailBoundError(
-                        f"integrand exceeds its decay certificate at y={mpmath.nstr(y, 8)}"
-                    )
-                return weight * fv
             try:
                 fv = _coerce(f(y))
             except ArithmeticError as exc:
-                raise IntegrandError(f"integrand failed at y={mpmath.nstr(y, 8)}") from exc
+                where = " inside certified range with non-negligible bound" if certified else ""
+                raise IntegrandError(f"integrand failed at y={mpmath.nstr(y, 8)}{where}") from exc
             if not mpmath.isfinite(fv):
+                if certified:
+                    return mpf(0)  # under/overflow under certificate: exact zero by contract
                 raise IntegrandError(f"integrand not finite at y={mpmath.nstr(y, 8)}")
+            if certified and fv != 0 and exceeds(fv, bound + 2):
+                raise TailBoundError(
+                    f"integrand exceeds its decay certificate at y={mpmath.nstr(y, 8)}"
+                )
             return weight * fv
 
         total = None
@@ -266,18 +254,18 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             log_term_floor = mpmath.ln(term_floor)
             # |contrib| * h < term_floor, exactly, since h is a power of two
             tail_floor = term_floor / h
-            part = evaluate(centre, half_pi * hw) if level == 0 else mpf(0)
+            part = evaluate(centre, half_pi * hw, log_centre_w) if level == 0 else mpf(0)
             quiet = 0
-            for index, node in enumerate(_nodes(kind, prec, level, tail_bound is None), 1):
+            for index, node in enumerate(_nodes(kind, prec, level), 1):
                 if b is None:
-                    x, w, x_small, w_small, log_w = node
+                    x, w, log_w, x_small, w_small, log_w_small = node
                     if a:
                         x, x_small = a + x, a + x_small
-                    contrib = evaluate(x, w, log_w) + evaluate(x_small, w_small)
+                    contrib = evaluate(x, w, log_w) + evaluate(x_small, w_small, log_w_small)
                 else:
                     d, w = node
                     offset, weight = d * hw, w * hw
-                    contrib = evaluate(b - offset, weight) + evaluate(a + offset, weight)
+                    contrib = evaluate(b - offset, weight, None) + evaluate(a + offset, weight, None)
                 part += contrib
                 # Tail cut: several consecutive negligible contributions, but
                 # never before t = j*h reaches past the weight hump at ~1.

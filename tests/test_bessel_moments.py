@@ -354,7 +354,7 @@ class TestBitIdentity:
             rec = bessel_moments.c_n(n, PrecisionContext.from_digits(digits), eps)
             raws.append((rec.value.value._mpf_, rec.error_estimate.value._mpf_))
         digest = hashlib.sha256(repr(raws).encode()).hexdigest()
-        assert digest == "27415da77ecd7ca2881adbacee8349e271c38398aee6237d58ee5f9989080391"
+        assert digest == "0b3e6dc6d447bccb9b099292b4aac620c27c0c4a4550aa13b387cba84384726c"
 
 
 class TestRecordValidation:

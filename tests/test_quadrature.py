@@ -399,17 +399,14 @@ class TestDecayCertificate:
             _check(r, mpmath.besselk(0, 1), mpf(10) ** -38)
 
 
-    def test_logs_wait_for_a_certified_read(self):
-        # a sweep without a certificate reads no logarithm, so it takes none;
-        # the first certified sweep over the same nodes takes them, and its
-        # integrand and certificate receive ln x with every abscissa
+    def test_table_does_not_depend_on_read_order(self):
+        # a table's entries are pure functions of (map, precision, level):
+        # read first by a sweep without a certificate and then by a certified
+        # one, it holds the same records, and gives the same results, as in
+        # the reverse order; either way every abscissa hands over ln x
         ctx = PrecisionContext.from_digits(23)
         prec = ctx.bits + 16
-        for key in [key for key in quadrature._NODE_CACHE if key[1] == prec]:
-            del quadrature._NODE_CACHE[key]
-        quadrature.integrate_semi_infinite(lambda x: mpmath.exp(-x), 0, mpf(10) ** -20, ctx)
-        tables = [t for (kind, p, _), t in quadrature._NODE_CACHE.items() if (kind, p) == ("es", prec)]
-        assert tables and all(node[4] is None for t in tables for node in t if node)
+        eps = mpf(10) ** -20
         seen = []
 
         def integrand(x):
@@ -421,25 +418,66 @@ class TestDecayCertificate:
             return -x
 
         cert = quadrature.DecayCertificate(beyond=2.0, log_bound=log_bound)
-        r = quadrature.integrate_semi_infinite(integrand, 0, mpf(10) ** -20, ctx, tail_bound=cert)
+        sweeps = {
+            "bare": lambda: quadrature.integrate_semi_infinite(
+                lambda x: mpmath.exp(-x), 0, eps, ctx),
+            "certified": lambda: quadrature.integrate_semi_infinite(
+                integrand, 0, eps, ctx, tail_bound=cert),
+        }
+
+        def records():
+            # every field with the ln it carries, if any
+            return {
+                level: [node and tuple((v, getattr(v, "ln", None)) for v in node) for node in table]
+                for (kind, p, level), table in quadrature._NODE_CACHE.items()
+                if (kind, p) == ("es", prec)
+            }
+
+        runs = []
+        for order in (("bare", "certified"), ("certified", "bare")):
+            for key in [key for key in quadrature._NODE_CACHE if key[1] == prec]:
+                del quadrature._NODE_CACHE[key]
+            steps = []
+            for name in order:
+                r = sweeps[name]()
+                steps.append((r.value.value, r.error_estimate.value, r.levels_used))
+                steps.append(records())
+            runs.append(steps)
+        (bare, first_bare, cert_after, both_a), (cert, first_cert, bare_after, both_b) = runs
+        assert bare == bare_after and cert == cert_after
+        assert both_a == both_b
+        # after one sweep the tables may differ in length, never in a record
+        assert first_bare.keys() == first_cert.keys()
+        for level, table in first_bare.items():
+            common = min(len(table), len(first_cert[level]))
+            assert common and table[:common] == first_cert[level][:common]
         with mp.workprec(prec):
-            _check(r, mpf(1), mpf(10) ** -19)
-            assert seen and all(x.ln == mpmath.ln(x) for x in seen)
+            assert abs(cert[0] - 1) < mpf(10) ** -19
+            # x.ln is the map's exponent a, not mpmath.ln of the rounded e^a
+            tol = mpmath.ldexp(1, 12 - prec)
+            assert seen and all(abs(x.ln - mpmath.ln(x)) <= tol for x in seen)
 
     def test_large_side_node_carries_its_log_weight(self):
-        # the skip test reads ln w from the table; it must be the very bits
-        # mpmath.ln(w) gives at the table's precision
+        # the skip test reads ln w from the table; on the large side it must
+        # be the very bits mpmath.ln(w) gives at the table's precision.  On
+        # the small side ln w' = ln w - 2a carries the roundings of ln w, 2a,
+        # their difference and w' itself, each an ulp of a number below
+        # 2^11 at most (|a| <= 8 prec ln 2 < 2^10 here), so it lies within
+        # 2^(12 - prec) of mpmath.ln(w')
         prec = PrecisionContext.from_digits(30).bits + 16
         for level in (0, 3):
             nodes = list(quadrature._nodes("es", prec, level))
             assert nodes
             with mp.workprec(prec):
-                for x, w, x_small, w_small, log_w in nodes:
+                tol = mpmath.ldexp(1, 12 - prec)
+                for x, w, log_w, x_small, w_small, log_w_small in nodes:
                     assert log_w == mpmath.ln(w)
+                    assert abs(log_w_small - mpmath.ln(w_small)) <= tol
+                    assert x_small.ln == -x.ln
 
     def test_certificate_covering_the_small_side(self):
         # beyond = 0 certifies every node, the small side's included, whose
-        # log weight the table does not carry
+        # skip test reads ln w' = ln w - 2a
         ctx = PrecisionContext.from_digits(30)
         cert = quadrature.DecayCertificate(beyond=0.0, log_bound=lambda y: -y)
         r = quadrature.integrate_semi_infinite(
