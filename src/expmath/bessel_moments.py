@@ -22,9 +22,8 @@ exp-sinh sum's quiet-tail cut to stop before it, the quadrature runs in
 x = t / 2^k instead, with the exact power of two 2^k chosen to put the peak
 at x in [1, 2) (Takahasi and Mori, Publ. RIMS 9 (1974) 721).  Smaller n keep
 k = 0, so their nodes and ln K0 values stay shared across n and tolerances.
-Each node hands over its own ln x (the quadrature's certified exp-sinh
-abscissae carry it), so neither the integrand nor the certificate takes a
-logarithm per node.
+Each exp-sinh abscissa x = e^a hands over its own ln x, the map's exponent
+a, so neither the integrand nor the certificate takes a logarithm per node.
 """
 
 from __future__ import annotations
@@ -125,16 +124,10 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
         # t dt = 2^{2k} x dx
         prefactor = (n + 2 * k) * ln2 - mpmath.loggamma(n + 1)
         half_log = mpmath.ln(mpmath.pi) / 2
-        # below the certificate x reaches 2^{1-k} and a node's weight is
-        # about x, so the floor on ln f sits -k ln 2 lower
-        exp_floor = (k - prec) * ln2 - 64
 
-        # x is a certified exp-sinh abscissa over (0, inf): x.ln is ln x
+        # x is an exp-sinh abscissa over (0, inf): x.ln is ln x
         def integrand(x: mpf) -> mpf:
-            arg = prefactor + x.ln + n * _log_k0_cached(x._mpf_, k, prec)
-            if arg < exp_floor:
-                return mpf(0)
-            return mpmath.exp(arg)
+            return mpmath.exp(prefactor + x.ln + n * _log_k0_cached(x._mpf_, k, prec))
 
         def log_bound(x: mpf) -> mpf:
             # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail bracket)

@@ -227,9 +227,8 @@ def _k0_series_raw(t: mpf, prec: int) -> mpf:
 def _k0_asymptotic_terms(t: mpf, prec: int):
     """Sum of the asymptotic correction series 1 - 1/(8t) + 9/(128 t^2) - ...
 
-    Truncated at the smallest term; returns (sum, smallest |term|).  Only
-    meaningful when that smallest term is below the needed accuracy, i.e.
-    t is past the switch point.
+    Truncated at the smallest term.  Only meaningful when that smallest term
+    is below the needed accuracy, i.e. t is past the switch point.
     """
     with mp.workprec(prec + 12):
         a = mpf(1)
@@ -247,7 +246,7 @@ def _k0_asymptotic_terms(t: mpf, prec: int):
             smallest = mag
             if mag < floor_:
                 break
-        return +s, +smallest
+        return +s
 
 
 def _k0_switch(prec: int) -> float:
@@ -273,7 +272,7 @@ def bessel_k0(t, ctx: PrecisionContext) -> BesselK0:
     if float(tv) < _k0_switch(prec):
         v = _k0_series_raw(tv, prec)
     else:
-        s, _ = _k0_asymptotic_terms(tv, prec)
+        s = _k0_asymptotic_terms(tv, prec)
         with mp.workprec(prec + 12):
             v = mpmath.sqrt(mpmath.pi / (2 * tv)) * mpmath.exp(-tv) * s
             v = +v
@@ -286,7 +285,7 @@ def _log_k0_raw(t: mpf, prec: int) -> mpf:
     if float(t) < _k0_switch(prec):
         with mp.workprec(prec + 8):
             return +mpmath.ln(_k0_series_raw(t, prec))
-    s, _ = _k0_asymptotic_terms(t, prec)
+    s = _k0_asymptotic_terms(t, prec)
     with mp.workprec(prec + 8):
         v = +(-t + mpmath.ln(mpmath.pi / (2 * t)) / 2 + mpmath.ln(s))
     return v

@@ -85,22 +85,7 @@ def sinc(x, ctx: PrecisionContext | None = None) -> BigReal:
     bits = ctx.bits if ctx is not None else x.computed_at_bits
     xv = x.value if isinstance(x, BigReal) else as_mpf(x, ctx)
     with mp.workprec(bits + 8):
-        if xv == 0:
-            v = mpf(1)
-        elif abs(xv) < mpf(2) ** -12:
-            # tiny arguments: alternating series 1 - x^2/6 + x^4/120 - ...
-            x2 = xv * xv
-            term = mpf(1)
-            v = mpf(1)
-            k = 0
-            floor_ = mpmath.ldexp(1, -(mp.prec + 4))
-            while abs(term) > floor_:
-                k += 1
-                term = term * (-x2) / ((2 * k) * (2 * k + 1))
-                v += term
-        else:
-            v = mpmath.sin(xv) / xv
-        v = +v
+        v = mpmath.sin(xv) / xv if xv != 0 else mpf(1)
     return BigReal(value=v, computed_at_bits=bits)
 
 

@@ -49,7 +49,8 @@ class TestSincFunction:
         assert a == b
 
     def test_series_branch_near_zero(self):
-        # tiny arguments use the Taylor series to dodge 0/0 cancellation
+        # sin(x)/x at 8 guard bits keeps full relative accuracy at tiny x:
+        # sin x = x(1 - x^2/6 + ...) cancels nothing
         ctx = PrecisionContext.from_digits(40)
         with mp.workprec(ctx.bits + 48):
             x = mpf(2) ** -40
