@@ -458,6 +458,7 @@ def _cmd_quad(args):
 
 def _cmd_walk(args) -> bytes:
     fmt = args.image_format or ("ppm" if (args.out or "").lower().endswith(".ppm") else "svg")
+    digit_walks.image_size(args.size, fmt)  # refuse a bad size before extracting digits
     count = args.digits
     bits = count * args.base.bit_length() + 256
     ctx = PrecisionContext(max(bits, 512), 100)

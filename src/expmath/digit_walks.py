@@ -169,14 +169,25 @@ def walk(stream: DigitStream) -> WalkPath:
 PPM_BYTE_BUDGET = 64 << 20
 
 
-def _parse_size(size):
+def image_size(size, format: str):
+    """(width, height) of a render at `size`, N or (W, H), in `format`.
+
+    Refuses, before any digit or pixel is made, a size below 16x16 and a
+    PPM whose 3*W*H pixel bytes pass PPM_BYTE_BUDGET.
+    """
     if isinstance(size, int):
         w = h = size
     else:
         w, h = size
     if w < 16 or h < 16:
         raise DomainError("render size below 16x16 cannot distinguish lattice points")
-    return int(w), int(h)
+    w, h = int(w), int(h)
+    if format == "ppm" and 3 * w * h > PPM_BYTE_BUDGET:
+        raise DomainError(
+            f"a {w}x{h} PPM needs {3 * w * h} bytes, above the "
+            f"{PPM_BYTE_BUDGET >> 20} MiB budget; render SVG or a smaller size"
+        )
+    return w, h
 
 
 def _hue_rgb(t: float):
@@ -299,12 +310,7 @@ def render(path: WalkPath, format: str = "ppm", size=512, color_mode: str = "pro
         raise DomainError("format must be 'ppm' or 'svg'")
     if color_mode not in ("progress", "mono"):
         raise DomainError("color_mode must be 'progress' or 'mono'")
-    width, height = _parse_size(size)
+    width, height = image_size(size, format)
     if format == "ppm":
-        if 3 * width * height > PPM_BYTE_BUDGET:
-            raise DomainError(
-                f"a {width}x{height} PPM needs {3 * width * height} bytes, above the "
-                f"{PPM_BYTE_BUDGET >> 20} MiB budget; render SVG or a smaller size"
-            )
         return _render_ppm(path, width, height, color_mode)
     return _render_svg(path, width, height, color_mode)

@@ -283,6 +283,19 @@ class TestWalk:
                     "--out", str(target)]) == 0
         assert target.read_bytes().startswith(b"P6\n32 32\n255\n")
 
+    def test_over_budget_ppm_is_refused_before_any_digit(self, monkeypatch, capsys):
+        # the size and budget checks run before digit extraction, so an
+        # over-budget PPM or a too-small image costs no digits
+        def refuse(*args, **kwargs):
+            raise AssertionError("digits extracted")
+
+        monkeypatch.setattr(digit_walks, "digits", refuse)
+        assert run(["walk", "--size", "20000", "--image-format", "ppm", "--digits", "400000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a 20000x20000 PPM needs") and "MiB budget" in err
+        assert run(["walk", "--size", "8", "--digits", "400000"]) == 1
+        assert "below 16x16" in capsys.readouterr().err
+
 
 class TestOutputFile:
     def test_text_goes_to_file_not_stdout(self, tmp_path, capsys):
@@ -751,9 +764,13 @@ class TestGoldenBytes:
              "a83f1d657bb880c3d5ead4dbcd68c272613fd316717c72351d9a0bae37367415"),
             ("walk --digits 40 --size 16 --image-format ppm",
              "e77af3dcd9f82a747bfb710b6fc6b20737166a028716eb1ff95757e7762175ad"),
+            ("cn --n 1..24 --digits 12 --format csv",
+             "a702d7e9c1e7b7250bf8597bf4d889d2a08b40d37de9c0df04be4e955e483463"),
+            ("cn --n 1..24 --digits 30 --format csv",
+             "f0b90791571ff1cd21b389725310c3756e35ed3877f055e9c5bacef6fa8c8c75"),
         ],
     )
-    def test_walk_image_bytes(self, argv, sha256, capsysbinary):
+    def test_output_sha256(self, argv, sha256, capsysbinary):
         assert run(argv.split()) == 0
         assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == sha256
 
