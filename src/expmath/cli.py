@@ -11,6 +11,10 @@ rendered as decimal strings (never raw binary floats), so byte-identical
 round-trips hold.  Exit codes: 0 success, 1 computation failure, 2 usage
 error.
 
+Each handler imports the library modules it runs, and parsing needs no
+library module but ``precision`` (``--size`` asks ``digit_walks`` for its
+floor), so a process loads only what its subcommand runs.
+
 Input contract: every usage error is argparse's.  Each flag that takes a
 value has one argparse type made by ``_flag`` from a converter and a
 predicate, which refuses bad text as ``FLAG takes WHAT, got TEXT``; flag
@@ -21,7 +25,6 @@ groups.  No handler raises a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -31,9 +34,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from . import agm, bessel_moments, digit_walks, functions
-from . import quadrature, relations, sinc_identity
-from .precision import BigReal, NumericsError, PrecisionContext, _from_decimal, parse_decimal
+from .precision import BigReal, DomainError, NumericsError, PrecisionContext
+from .precision import _from_decimal, parse_decimal
 
 _DEFAULT_DIGITS = 30
 #: the most indices one ``cn --n lo..hi`` may span: each is a c_n call
@@ -51,14 +53,15 @@ def _env_default_digits() -> int:
 
 def _flag(label: str, convert, valid, expects: str):
     """The argparse type of one flag: ``convert(text)``, kept when ``valid``
-    holds of it.  Text that ``convert`` or ``valid`` rejects with ValueError
-    or ZeroDivisionError, or that ``valid`` finds wanting, is refused with
-    ``LABEL takes EXPECTS, got TEXT`` (exit 2, with the usage line)."""
+    holds of it.  Text that ``convert`` or ``valid`` rejects with ValueError,
+    ZeroDivisionError or DomainError, or that ``valid`` finds wanting, is
+    refused with ``LABEL takes EXPECTS, got TEXT`` (exit 2, with the usage
+    line)."""
     def parse(text: str):
         try:
             value = convert(text)
             ok = valid(value)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, DomainError):
             ok = False
         if not ok:
             raise argparse.ArgumentTypeError(f"{label} takes {expects}, got {text!r}")
@@ -91,6 +94,15 @@ def _size(text: str):
     """--size: N, or WxH as a (width, height) pair."""
     w, sep, h = text.partition("x")
     return (int(w), int(h)) if sep else int(w)
+
+
+def _size_floor(size) -> bool:
+    """--size's 16x16 floor, kept by the renderer; the PPM byte budget
+    depends on the image format, so the handler checks that."""
+    from . import digit_walks
+
+    digit_walks.image_size(size, "svg")
+    return True
 
 
 def _threshold(text: str, ctx: PrecisionContext):
@@ -192,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", default="pi")
     p.add_argument("--base", type=_int_flag("--base", 2), default=4)
     p.add_argument("--size", default=512,
-                   type=_flag("--size", _size, lambda v: True, "N or WxH, e.g. 512 or 800x600"),
-                   help="N or WxH pixels, at least 16x16; a PPM may take at most "
-                        f"{digit_walks.PPM_BYTE_BUDGET >> 20} MiB (3*W*H bytes)")
+                   type=_flag("--size", _size, _size_floor,
+                              "N or WxH of at least 16x16, e.g. 512 or 800x600"),
+                   help="N or WxH pixels, at least 16x16; a PPM's 3*W*H bytes have a fixed budget")
     p.add_argument("--color", choices=("progress", "mono"), default="progress")
     p.add_argument("--image-format", choices=("ppm", "svg"), default=None,
                    help="defaults to the --out extension, else svg")
@@ -208,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _render(fmt: str, payload, rows, lines) -> bytes:
     """The one place --format is decided: a result's three views to bytes."""
     if fmt == "json":
+        import json
+
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     elif fmt == "csv":
         # cells are decimal strings, integers and bare names: none holds a
@@ -246,6 +260,8 @@ def _eps_from(args):
 
 
 def _cmd_pi(args):
+    from . import agm
+
     d = args.digits
     if args.iterations is None:
         value = agm.pi_value(_ctx(d)).to_decimal(d)
@@ -267,6 +283,8 @@ def _cmd_pi(args):
 
 
 def _cmd_cn(args):
+    from . import bessel_moments
+
     d = args.digits
     ctx = PrecisionContext.from_digits(max(d + 5, 30))
     eps = _eps_from(args)
@@ -283,12 +301,16 @@ def _cmd_cn(args):
 
 
 def _cmd_cinf(args):
+    from . import bessel_moments
+
     d = args.digits
     value = bessel_moments.c_infinity(_ctx(d)).to_decimal(d)
     return {"digits": d, "value": value}, [("value", value)], [value]
 
 
 def _cmd_sinc(args):
+    from . import sinc_identity
+
     d = args.digits
     ctx = PrecisionContext.from_digits(max(d + 5, 30))
     eps = _eps_from(args)
@@ -305,6 +327,8 @@ def _cmd_sinc(args):
 
 
 def _cmd_threshold(args):
+    from . import agm, sinc_identity
+
     ctx = PrecisionContext.from_digits(max(args.digits, 30))
     if args.threshold is None:
         with mp.workprec(ctx.bits + 48):
@@ -325,8 +349,6 @@ _BB_DEFAULT_STARTS = {
 
 
 def _cmd_bb(args):
-    # Imported here, not at module level: numpy is most of the start-up time
-    # of every other subcommand.
     from . import barzilai_borwein
 
     if args.problem == "random-spd":
@@ -374,6 +396,8 @@ def _cmd_bb(args):
 
 
 def _cmd_agm(args):
+    from . import agm
+
     d = args.digits
     ctx = PrecisionContext.from_digits(d + 5)
     a = parse_decimal(args.a, ctx)
@@ -395,6 +419,8 @@ def _cmd_agm(args):
 
 
 def _cmd_recognize(args):
+    from . import relations
+
     if args.list_basis:
         names = relations.basis_names()
         return {"basis": names}, [(n,) for n in names], names
@@ -426,6 +452,8 @@ def _cmd_recognize(args):
 
 
 def _cmd_quad(args):
+    from . import functions, quadrature
+
     d = args.digits
     ctx = PrecisionContext.from_digits(max(d + 5, 30))
     with mp.workprec(ctx.bits + 16):
@@ -457,6 +485,8 @@ def _cmd_quad(args):
 
 
 def _cmd_walk(args) -> bytes:
+    from . import digit_walks
+
     fmt = args.image_format or ("ppm" if (args.out or "").lower().endswith(".ppm") else "svg")
     digit_walks.image_size(args.size, fmt)  # refuse a bad size before extracting digits
     count = args.digits

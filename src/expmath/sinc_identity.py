@@ -202,13 +202,6 @@ def sinc_sum(N: int, eps, ctx: PrecisionContext) -> BigReal:
     return make_real(_direct_sum(N, eps, ctx), ctx)
 
 
-def sinc_sum_direct(N: int, eps, ctx: PrecisionContext) -> BigReal:
-    """The truncated-summation route, exposed as an independent cross-check."""
-    if N < 1:
-        raise DomainError("N must be at least 1")
-    return make_real(_direct_sum(N, eps, ctx), ctx)
-
-
 def _direct_terms_needed(N: int, eps_tail: float) -> int:
     D = _odd_double_factorial(N)
     # tail past M: sum_{n>M} D/n^{N+1} < D/(N*M^N)

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -285,7 +286,8 @@ class TestWalk:
 
     def test_over_budget_ppm_is_refused_before_any_digit(self, monkeypatch, capsys):
         # the size and budget checks run before digit extraction, so an
-        # over-budget PPM or a too-small image costs no digits
+        # over-budget PPM or a too-small image costs no digits; the 16x16
+        # floor holds whatever the format, so it is a usage error
         def refuse(*args, **kwargs):
             raise AssertionError("digits extracted")
 
@@ -293,8 +295,9 @@ class TestWalk:
         assert run(["walk", "--size", "20000", "--image-format", "ppm", "--digits", "400000"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: a 20000x20000 PPM needs") and "MiB budget" in err
-        assert run(["walk", "--size", "8", "--digits", "400000"]) == 1
-        assert "below 16x16" in capsys.readouterr().err
+        for size in ("8", "-5", "8x40"):
+            assert run(["walk", "--size", size, "--digits", "400000"]) == 2
+            assert "--size takes N or WxH of at least 16x16" in capsys.readouterr().err
 
 
 class TestOutputFile:
@@ -810,8 +813,17 @@ def _fresh_python(*args):
 
 
 class TestImportHygiene:
-    """Only the float-regime optimizer needs numpy, and importing it is most
-    of a cold start, so nothing else may load it."""
+    """Every public name and submodule loads on first access, and each
+    subcommand loads only the modules it runs: numpy, most of a cold start,
+    only for the float-regime optimizer."""
+
+    @staticmethod
+    def _loaded(*args):
+        """The expmath modules, and numpy, that a fresh interpreter imports."""
+        # -X importtime names every module the process imports, on stderr
+        stderr = _fresh_python("-X", "importtime", *args).stderr.decode()
+        modules = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()}
+        return {m for m in modules if m == "numpy" or m.split(".")[0] == "expmath"}
 
     @pytest.mark.parametrize(
         "argv, loads_numpy",
@@ -820,27 +832,67 @@ class TestImportHygiene:
             (["threshold"], False),
             (["walk", "--digits", "40", "--size", "16", "--image-format", "ppm"], False),
             (["bb", "--problem", "sphere"], True),
+            (["cn", "--n", "1", "--digits", "10"], False),
+            (["sinc", "--digits", "10"], False),
+            (["agm", "--digits", "10"], False),
+            (["recognize", "--list-basis"], False),
+            (["quad", "--digits", "10"], False),
         ],
-        ids=["cinf", "threshold", "walk", "bb"],
+        ids=["cinf", "threshold", "walk", "bb", "cn", "sinc", "agm", "recognize", "quad"],
     )
     def test_numpy_only_for_bb(self, argv, loads_numpy):
-        # -X importtime names every module the process imports, on stderr
-        stderr = _fresh_python("-X", "importtime", "-m", "expmath", *argv).stderr.decode()
-        modules = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()}
-        assert ("numpy" in modules) is loads_numpy
+        assert ("numpy" in self._loaded("-m", "expmath", *argv)) is loads_numpy
 
-    def test_package_import_leaves_numpy_out(self):
-        code = "import sys, expmath; print('numpy' in sys.modules)"
-        assert _fresh_python("-c", code).stdout.decode().split() == ["False"]
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        assert self._loaded("-c", "import expmath") == {"expmath"}
+
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [
+            (["pi", "--digits", "40"], {"agm"}),
+            (["cinf", "--digits", "20"], {"bessel_moments", "functions", "quadrature"}),
+        ],
+        ids=["pi", "cinf"],
+    )
+    def test_subcommand_loads_only_its_modules(self, argv, runs):
+        shell = {"expmath", "expmath.cli", "expmath.precision"}
+        assert self._loaded("-m", "expmath", *argv) == shell | {f"expmath.{m}" for m in runs}
+
+    def test_help_loads_no_library_module(self):
+        # one interpreter asks for the top-level help and each subcommand's;
+        # the exit code is the largest of theirs
+        code = (
+            "import sys\n"
+            "from expmath.cli import build_parser, run\n"
+            "sub = next(a for a in build_parser()._actions if a.dest == 'subcommand')\n"
+            "sys.exit(max(run([*argv, '--help']) for argv in [[], *([s] for s in sub.choices)]))\n"
+        )
+        assert self._loaded("-c", code) == {"expmath", "expmath.cli", "expmath.precision"}
+
+    def test_bare_import_lists_and_reaches_every_submodule(self):
+        # dir() is asked before any access has bound a name
+        code = (
+            "import pkgutil, expmath\n"
+            "print(set(expmath.__all__) <= set(dir(expmath)))\n"
+            "for m in pkgutil.iter_modules(expmath.__path__):\n"
+            "    if m.name != '__main__':\n"
+            "        print(m.name in dir(expmath), m.name, getattr(expmath, m.name).__name__)\n"
+        )
+        listed, *lines = _fresh_python("-c", code).stdout.decode().splitlines()
+        assert listed == "True"
+        assert len(lines) == 10
+        for line in lines:
+            in_dir, name, module = line.split()
+            assert in_dir == "True" and module == f"expmath.{name}"
 
     def test_optimizer_names_resolve_on_access(self):
-        from expmath import bb_minimize, bb_step, steepest_descent_baseline
-        from expmath import barzilai_borwein
-
-        assert bb_minimize is barzilai_borwein.bb_minimize
-        assert bb_step is barzilai_borwein.bb_step
-        assert steepest_descent_baseline is barzilai_borwein.steepest_descent_baseline
+        # every public name, the optimizer's included, is its defining
+        # module's object
         for name in expmath.__all__:
-            assert getattr(expmath, name) is not None
+            value = getattr(expmath, name)
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+        star = {}
+        exec("from expmath import *", star)
+        assert all(star[name] is getattr(expmath, name) for name in expmath.__all__)
         with pytest.raises(AttributeError, match="no_such_name"):
             expmath.no_such_name
