@@ -191,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--value", type=_decimal_flag("--value"), help="decimal string to identify")
     target.add_argument("--list-basis", action="store_true",
                         help="print available constants and exit")
-    p.add_argument("--basis", default="one,gamma,em2gamma,zeta3,pi2",
-                   help="comma-separated constant names (see --list-basis)")
+    p.add_argument("--basis", help="comma-separated constant names (see --list-basis)")
 
     p = command("quad", _cmd_quad, "the double-exponential integrator on reference integrals")
     p.add_argument("--integrand", choices=("log-inverse", "inv-sqrt", "gauss", "bessel-moment"),
@@ -427,7 +426,8 @@ def _cmd_recognize(args):
     d = args.digits
     ctx = PrecisionContext.from_digits(d + 10)
     value = parse_decimal(args.value, ctx)
-    names = [n.strip() for n in args.basis.split(",") if n.strip()]
+    names = (list(relations.DEFAULT_BASIS) if args.basis is None
+             else [n.strip() for n in args.basis.split(",") if n.strip()])
     basis = relations.standard_basis(names, ctx)
     matches = relations.recognize(value, basis, d)
     payload = {

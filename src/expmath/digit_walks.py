@@ -36,8 +36,6 @@ from .precision import (
 #: digit value -> unit step (east, north, west, south)
 DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-_DIGIT_GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
 
 @dataclass(frozen=True)
 class DigitStream:
@@ -53,7 +51,6 @@ class DigitStream:
 @dataclass(frozen=True)
 class WalkPath:
     points: tuple
-    mapping: tuple = DIRECTIONS
 
 
 def _champernowne_digits(construction_base: int, count: int):

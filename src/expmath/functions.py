@@ -55,7 +55,6 @@ numbers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -74,9 +73,6 @@ from .precision import (
 )
 
 _LN10_OVER_4 = math.log(10) / 4.0
-
-#: Decimal magnitude beyond which K0 values are reported in log form only.
-K0_UNDERFLOW_LOG10 = 10 ** 6
 
 #: Empirical series/asymptotic switch: the asymptotic tail error ~ e^{-2t}
 #: drops below 10^{-d} once t exceeds ~1.16*d; correctness is enforced by the
@@ -149,19 +145,6 @@ def _zeta3_raw(prec: int) -> mpf:
 def zeta3(ctx: PrecisionContext) -> BigReal:
     """Apery's constant zeta(3)."""
     return make_real(_zeta3_raw(ctx.bits), ctx)
-
-
-@dataclass(frozen=True)
-class BesselK0(BigReal):
-    """K0 result carrying the log-space value and an underflow flag.
-
-    When `below_threshold` is set the linear `value` is 0 by convention
-    (the true value has decimal exponent below -K0_UNDERFLOW_LOG10) and
-    `log_value` is the meaningful field.
-    """
-
-    log_value: mpf = mpf(0)
-    below_threshold: bool = False
 
 
 #: Bits carried past wp by the fixed-point K0 series; see _k0_series_raw.
@@ -253,32 +236,18 @@ def _k0_switch(prec: int) -> float:
     return K0_SWITCH_SLOPE * _digits_for_bits(prec) + 4.0
 
 
-def bessel_k0(t, ctx: PrecisionContext) -> BesselK0:
-    """Modified Bessel function K0(t) for t > 0.
-
-    Returns a BigReal carrying, additionally, ln K0(t) and a flag for
-    arguments so large that the linear value is reported as 0 (decimal
-    exponent below -10^6).
-    """
+def bessel_k0(t, ctx: PrecisionContext) -> BigReal:
+    """Modified Bessel function K0(t) for every t > 0: an mpf's exponent has no bound."""
     tv = as_mpf(t, ctx)
     if not tv > 0:
         raise DomainError("K0 requires t > 0")
     prec = ctx.bits + 16
-    if float(tv) * math.log10(math.e) > K0_UNDERFLOW_LOG10:
-        logv = _log_k0_raw(tv, prec)
-        return BesselK0(
-            value=mpf(0), computed_at_bits=ctx.bits, log_value=logv, below_threshold=True
-        )
     if float(tv) < _k0_switch(prec):
-        v = _k0_series_raw(tv, prec)
-    else:
-        s = _k0_asymptotic_terms(tv, prec)
-        with mp.workprec(prec + 12):
-            v = mpmath.sqrt(mpmath.pi / (2 * tv)) * mpmath.exp(-tv) * s
-            v = +v
-    with mp.workprec(prec):
-        logv = mpmath.ln(v)
-    return BesselK0(value=v, computed_at_bits=ctx.bits, log_value=logv)
+        return make_real(_k0_series_raw(tv, prec), ctx)
+    s = _k0_asymptotic_terms(tv, prec)
+    with mp.workprec(prec + 12):
+        v = +(mpmath.sqrt(mpmath.pi / (2 * tv)) * mpmath.exp(-tv) * s)
+    return make_real(v, ctx)
 
 
 def _log_k0_raw(t: mpf, prec: int) -> mpf:

@@ -95,12 +95,6 @@ class PrecisionContext:
         """A context with `extra_digits` more decimal digits of headroom."""
         return PrecisionContext.from_digits(self.target_digits + extra_digits)
 
-    @property
-    def eps(self) -> mpf:
-        """10**(-target_digits), the accuracy the context promises."""
-        with mp.workprec(64):
-            return mpf(10) ** (-self.target_digits)
-
 
 @dataclass(frozen=True)
 class BigReal:
@@ -217,6 +211,9 @@ def _to_ratio(x: mpf) -> tuple:
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
+#: Scaling by 10^|e| costs tenths of a second at |e| = 10^6, superlinear past.
+RENDER_EXPONENT_CAP = 10 ** 6
+
 #: Digit runs this short are converted by plain divmod, longer ones split.
 _RADIX_LEAF = 32
 
@@ -262,7 +259,8 @@ def render_decimal(x: mpf, digits: int) -> str:
 
     Rounding is half-to-even on the exact rational value of the binary
     float, so the output is a pure function of (x, digits): no locale, no
-    formatting-library behaviour, no double rounding.
+    formatting-library behaviour, no double rounding.  A decimal exponent past
+    +-RENDER_EXPONENT_CAP raises DomainError before any power of ten is made.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -276,6 +274,8 @@ def render_decimal(x: mpf, digits: int) -> str:
     # With that e, num/den = |x| 10^(digits-1-e) lies in [10^(digits-1), 10^digits),
     # and so does its floor q.
     e = math.floor((bc + exp - 1) / _LOG2_10)
+    if not -RENDER_EXPONENT_CAP - 1 <= e <= RENDER_EXPONENT_CAP:  # e is exact or one low
+        raise DomainError(f"cannot render a decimal exponent past +-{RENDER_EXPONENT_CAP}")
     top = 10 ** digits
     while True:
         k = digits - 1 - e

@@ -49,9 +49,6 @@ class BasisConstant:
     make: Callable[[PrecisionContext], BigReal]
     value: BigReal = field(compare=False)
 
-    def at(self, ctx: PrecisionContext) -> BigReal:
-        return self.make(ctx)
-
 
 @dataclass(frozen=True)
 class RecognitionMatch:
@@ -290,6 +287,9 @@ _BASIS_FACTORIES = {
     "e": ("exp(1)", _make_e),
 }
 
+#: What `default_basis` and `expmath recognize` search when no basis is named.
+DEFAULT_BASIS = ("one", "gamma", "em2gamma", "zeta3", "pi2")
+
 
 def basis_names() -> list:
     return sorted(_BASIS_FACTORIES)
@@ -310,7 +310,7 @@ def standard_basis(names, ctx: PrecisionContext) -> list:
 
 
 def default_basis(ctx: PrecisionContext) -> list:
-    return standard_basis(["one", "gamma", "em2gamma", "zeta3", "pi2"], ctx)
+    return standard_basis(DEFAULT_BASIS, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ def recognize(value, basis, precision_digits: int):
         resid = abs(
             mpmath.fsum(
                 [mpf(key[0]) * target.value]
-                + [mpf(c) * b.at(sharp_ctx).value for c, b in zip(key[1:], basis) if c]
+                + [mpf(c) * b.make(sharp_ctx).value for c, b in zip(key[1:], basis) if c]
             )
         )
         if not _credible(resid, key, mpf(10) ** (-(precision_digits - SAFETY_DIGITS))):

@@ -78,15 +78,12 @@ class SincIdentityReport:
     truncation_bound: BigReal
 
 
-def sinc(x, ctx: PrecisionContext | None = None) -> BigReal:
+def sinc(x, ctx: PrecisionContext) -> BigReal:
     """sin(x)/x extended continuously by sinc(0) = 1."""
-    if ctx is None and not isinstance(x, BigReal):
-        ctx = PrecisionContext(113, 15)
-    bits = ctx.bits if ctx is not None else x.computed_at_bits
-    xv = x.value if isinstance(x, BigReal) else as_mpf(x, ctx)
-    with mp.workprec(bits + 8):
+    xv = as_mpf(x, ctx)
+    with mp.workprec(ctx.bits + 8):
         v = mpmath.sin(xv) / xv if xv != 0 else mpf(1)
-    return BigReal(value=v, computed_at_bits=bits)
+    return make_real(v, ctx)
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -190,6 +187,8 @@ def sinc_sum(N: int, eps, ctx: PrecisionContext) -> BigReal:
     """
     if N < 1:
         raise DomainError("N must be at least 1")
+    if not mpf(eps) > 0:  # a sign, which no working precision changes
+        raise ValueError("eps must be positive")
     if N <= EXPANSION_LIMIT:
         coeffs = _sum_coefficients(N)
         with mp.workprec(ctx.bits + 96):
@@ -212,8 +211,6 @@ def _direct_terms_needed(N: int, eps_tail: float) -> int:
 def _direct_sum(N: int, eps, ctx: PrecisionContext):
     with mp.workprec(ctx.bits + 48):
         eps_v = mpf(eps)
-        if not eps_v > 0:
-            raise ValueError("eps must be positive")
         M = _direct_terms_needed(N, float(eps_v) / 2)
         if M > _DIRECT_TERM_CAP:
             raise ConvergenceError(

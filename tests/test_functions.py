@@ -137,24 +137,29 @@ class TestBesselK0:
             ref = mpmath.besselk(0, t)
             assert abs(ours.value - ref) <= abs(ref) * mpf(10) ** -105
 
-    def test_log_route_for_huge_argument(self):
+    @pytest.mark.parametrize("t", [500, 3 * 10 ** 6])
+    def test_asymptotic_route_for_huge_argument(self, t):
+        # K0(3e6) is about 2.6e-1302887; an mpf's exponent has no bound, so
+        # the value comes back as it is (it used to be reported as 0)
         ctx = PrecisionContext.from_digits(30)
-        r = functions.bessel_k0(mpf(500), ctx)
-        assert not r.below_threshold
-        with mp.workprec(ctx.bits + 32):
-            # log K0(t) ~ -t + ln sqrt(pi/2t): check via the carried log value
-            expected = -500 + mpmath.ln(mpmath.pi / 1000) / 2
-            assert abs(r.log_value - expected) < mpf("0.01")
-            assert abs(mpmath.ln(r.value) - r.log_value) < mpf(10) ** -25
+        ours = functions.bessel_k0(t, ctx).value
+        with mp.workprec(ctx.bits + 64):
+            ref = mpmath.besselk(0, t)
+            assert ours > 0
+            assert abs(ours - ref) < ref * mpf(10) ** -30
 
-    def test_underflow_flag(self):
-        ctx = PrecisionContext.from_digits(30)
-        t = mpf(3) * 10 ** 6
-        r = functions.bessel_k0(t, ctx)
-        assert r.below_threshold
-        assert r.value == 0
+    @given(digits=st.integers(15, 110), position=st.floats(0, 1))
+    def test_log_k0_matches_library_bessel_on_both_routes(self, digits, position):
+        # c_n reads ln K0 from here directly; t runs log-uniformly over
+        # [1e-30, 1e7], across the series/asymptotic switch, and the error
+        # is absolute, scaled by |ln K0| once that passes 1
+        ctx = PrecisionContext.from_digits(digits)
         with mp.workprec(ctx.bits):
-            assert r.log_value < -mpf(10) ** 6
+            t = mpf(10) ** (-30 + 37 * mpf(position))
+        ours = functions._log_k0_raw(t, ctx.bits + 16)
+        with mp.workprec(ctx.bits + 64):
+            ref = mpmath.ln(mpmath.besselk(0, t))
+            assert abs(ours - ref) <= mpf(10) ** -digits * max(1, abs(ref))
 
     def test_twenty_digit_value_at_one(self):
         ctx = PrecisionContext.from_digits(30)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -39,11 +40,6 @@ class TestPrecisionContext:
         wide = ctx.widened(20)
         assert wide.target_digits == 50
         assert wide.bits > ctx.bits
-
-    def test_eps_matches_target(self):
-        ctx = PrecisionContext.from_digits(25)
-        with mp.workprec(200):
-            assert mpf(10) ** -26 < ctx.eps <= mpf(10) ** -24
 
 
 class TestRendering:
@@ -95,6 +91,25 @@ class TestRendering:
         with mp.workprec(ctx.bits):
             theirs = mpmath.nstr(v, digits, strip_zeros=False)
         assert ours[: min(len(ours), digits + 1)] == theirs[: min(len(ours), digits + 1)]
+
+    # both values sit where the binary-exponent estimate of e reaches the cap
+    @pytest.mark.parametrize("text, rendered", [("9.5e1000000", "9.5000e+1000000"),
+                                                ("1.01e-1000000", "1.0100e-1000000")])
+    def test_exponent_at_the_cap_renders(self, text, rendered):
+        with mp.workprec(100):
+            x = mpf(text)
+        assert render_decimal(x, 5) == rendered
+
+    @pytest.mark.parametrize("text", ["5e1000001", "1e-1000001", "2.14e-2252161657625246291"])
+    def test_exponent_past_the_cap_is_refused_at_once(self, text):
+        # 10^|e| is never formed: a refusal costs microseconds where the
+        # scaling would take seconds, or, for the last value, never finish
+        with mp.workprec(100):
+            x = mpf(text)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="decimal exponent"):
+            render_decimal(x, 20)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestParsingAndCoercion:

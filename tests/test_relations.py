@@ -127,7 +127,7 @@ class TestBasis:
         ctx40 = PrecisionContext.from_digits(40)
         ctx80 = PrecisionContext.from_digits(80)
         (z3,) = relations.standard_basis(["zeta3"], ctx40)
-        sharper = z3.at(ctx80)
+        sharper = z3.make(ctx80)
         with mp.workprec(ctx80.bits + 32):
             assert abs(sharper.value - mpmath.zeta(3)) < mpf(10) ** -78
 
@@ -280,7 +280,7 @@ class TestRecognize:
             for m in matches:
                 acc = m.coefficients[0] * hi_value
                 for coeff, const in zip(m.coefficients[1:], basis):
-                    acc += coeff * const.at(hi).value
+                    acc += coeff * const.make(hi).value
                 assert abs(acc) < mpf(10) ** (-(digits - 5))
 
     def test_scale_coherence(self):
@@ -295,7 +295,7 @@ class TestRecognize:
         def times_three(b):
             def make(c):
                 with mp.workprec(c.bits + 8):
-                    return make_real(b.at(c).value * 3, c)
+                    return make_real(b.make(c).value * 3, c)
 
             return make
 

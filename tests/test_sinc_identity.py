@@ -131,6 +131,15 @@ class TestRoutes:
         with pytest.raises(ConvergenceError):
             sinc_identity._direct_sum(3, mpf(10) ** -25, ctx)
 
+    @pytest.mark.parametrize("N", [3, 17])
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
+    def test_nonpositive_eps_is_refused_on_both_sides(self, N, eps):
+        # N = 3 sums in closed form, which needs no eps, and N = 17 directly
+        ctx = PrecisionContext.from_digits(30)
+        for side in (sinc_identity.sinc_sum, sinc_identity.sinc_integral):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                side(N, mpf(eps), ctx)
+
     def test_tail_bound_is_honored(self):
         # tightening eps tenfold may add terms, but the value moves by less
         # than the original tolerance claimed
