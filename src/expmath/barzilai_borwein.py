@@ -340,20 +340,6 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> ObjectiveFunction:
     return ObjectiveFunction(dimension=2, evaluate=evaluate, gradient=gradient, name="rosenbrock")
 
 
-def check_gradient(f: ObjectiveFunction, x, h: float = 1e-6) -> float:
-    """Max relative error of the supplied gradient vs central differences."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(f.gradient(x), dtype=float)
-    worst = 0.0
-    for i in range(f.dimension):
-        e = np.zeros_like(x)
-        e[i] = h
-        approx = (f.evaluate(x + e) - f.evaluate(x - e)) / (2 * h)
-        scale = max(1.0, abs(g[i]), abs(approx))
-        worst = max(worst, abs(g[i] - approx) / scale)
-    return worst
-
-
 PROBLEMS = {
     "sphere": lambda: sphere(2),
     "quad": lambda: diagonal_quadratic([1.0, 100.0]),

@@ -17,24 +17,19 @@ K0(t) < sqrt(pi/(2t)) e^{-t} (valid for t >= 2) lets the quadrature engine
 skip far-tail nodes without evaluating them.
 
 The integrand's mass sits where K0(t) is about n/2, near t = 2 e^{-gamma-n/2}
-(about 1e-33 at n = 152).  Once that is far enough below t = 1 for the
-exp-sinh sum's quiet-tail cut to stop before it, the quadrature runs in
-x = t / 2^k instead, with the exact power of two 2^k chosen to put the peak
-at x in [1, 2) (Takahasi and Mori, Publ. RIMS 9 (1974) 721).  Smaller n keep
-k = 0, so their nodes and ln K0 values stay shared across n and tolerances.
-Each exp-sinh abscissa x = e^a hands over its own ln x, the map's exponent
-a, so neither the integrand nor the certificate takes a logarithm per node.
+(about 1e-33 at n = 152); the quadrature sweep itself moves its map onto
+mass that far from t = 1 (see `quadrature`).  Each exp-sinh abscissa hands
+over its own ln t, so neither the integrand nor the certificate takes a
+logarithm per node.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_shift
 
 from . import functions, quadrature
 from .precision import (
@@ -46,11 +41,10 @@ from .precision import (
 
 
 @lru_cache(maxsize=400_000)
-def _log_k0_cached(x_mpf: tuple, k: int, prec: int) -> mpf:
-    """ln K0(2^k x) shared across integrals and across n, keyed by the exact
-    binary node x (an mpf's raw tuple), the shift exponent k and the working
-    precision."""
-    return functions._log_k0_raw(mpf(mpf_shift(x_mpf, k)), prec)
+def _log_k0_cached(t_mpf: tuple, prec: int) -> mpf:
+    """ln K0(t) shared across integrals and across n, keyed by the exact
+    binary node t (an mpf's raw tuple) and the working precision."""
+    return functions._log_k0_raw(mpf(t_mpf), prec)
 
 
 @dataclass(frozen=True)
@@ -76,41 +70,9 @@ def _default_eps(ctx: PrecisionContext) -> mpf:
         return mpf(10) ** (-min(25, ctx.target_digits - 5))
 
 
-def _shift_exponent(n: int, eps: mpf) -> int:
-    """The k of the substitution t = 2^k x that c_n integrates under.
-
-    In u = ln(1/t) the integrand t^2 K0(t)^n is close to the Gamma bump
-    e^{-2u} (u + ln 2 - gamma)^n, which peaks where K0(t) = n/2, at
-    u_peak = n/2 + gamma - ln 2, and is sqrt(n+1)/2 wide.  The exp-sinh
-    sum's quiet-tail cut can first fire at u_c = (pi/2) sinh 2, where the
-    map's own parameter reaches 2.  When the peak lies beyond u_c and the
-    weighted integrand there is below the finest level's cut floor, the
-    cut could stop before the mass; then k = floor(-u_peak / ln 2) puts
-    the peak at x in [1, 2).  Otherwise k = 0, so the nodes and the ln K0
-    memo stay shared across n and tolerances.
-    """
-    gamma = 0.5772156649015329
-    ln2 = math.log(2)
-    u_peak = n / 2 + gamma - ln2
-    u_c = (math.pi / 2) * math.sinh(2)
-    if u_peak <= u_c:
-        return 0
-    log_weighted = (
-        n * ln2 - math.lgamma(n + 1) - 2 * u_c + n * math.log(u_c + ln2 - gamma)
-        + math.log((math.pi / 2) * math.cosh(2))
-    )
-    with mp.workprec(53):
-        floor = float(mpmath.ln(eps / 16)) + quadrature.DEFAULT_MAX_LEVEL * ln2
-    if log_weighted >= floor:
-        return 0
-    return math.floor(-u_peak / ln2)
-
-
 def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
     """One Bessel moment C_n to absolute accuracy eps.
 
-    For large n the quadrature runs in x = t / 2^k (see `_shift_exponent`),
-    with the exact power of two folded into the log-space prefactor.
     Raises ConvergenceError if the quadrature cannot reach eps within its
     level budget at this context's precision.
     """
@@ -119,26 +81,19 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
     prec = ctx.bits + 16
     with mp.workprec(prec):
         eps_v = _default_eps(ctx) if eps is None else mpf(eps)
-        k = _shift_exponent(n, eps_v)
         ln2 = mpmath.ln(2)
-        # t dt = 2^{2k} x dx
-        prefactor = (n + 2 * k) * ln2 - mpmath.loggamma(n + 1)
+        prefactor = n * ln2 - mpmath.loggamma(n + 1)
         half_log = mpmath.ln(mpmath.pi) / 2
 
-        # x is an exp-sinh abscissa over (0, inf): x.ln is ln x
-        def integrand(x: mpf) -> mpf:
-            return mpmath.exp(prefactor + x.ln + n * _log_k0_cached(x._mpf_, k, prec))
+        # t is an exp-sinh abscissa over (0, inf): t.ln is ln t
+        def integrand(t: mpf) -> mpf:
+            return mpmath.exp(prefactor + t.ln + n * _log_k0_cached(t._mpf_, prec))
 
-        def log_bound(x: mpf) -> mpf:
+        def log_bound(t: mpf) -> mpf:
             # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail bracket)
-            # ln 2t = ln x + (k + 1) ln 2
-            t = mpmath.ldexp(x, k)
-            return prefactor + x.ln + n * (half_log - (x.ln + (k + 1) * ln2) / 2 - t)
+            return prefactor + t.ln + n * (half_log - (t.ln + ln2) / 2 - t)
 
-        # t >= 2 is x >= 2^{1-k}: an mpf, since a float overflows once k < -1023
-        certificate = quadrature.DecayCertificate(
-            beyond=mpmath.ldexp(1, 1 - k), log_bound=log_bound
-        )
+        certificate = quadrature.DecayCertificate(beyond=2, log_bound=log_bound)
     result = quadrature.integrate_semi_infinite(integrand, 0, eps_v, ctx, certificate)
     if not result.converged:
         raise ConvergenceError(

@@ -111,8 +111,11 @@ class BigReal:
         return float(self.value)
 
     def __str__(self) -> str:
-        shown = max(1, int(self.computed_at_bits / _LOG2_10) - 2)
-        return render_decimal(self.value, min(shown, 50))
+        shown = min(max(1, int(self.computed_at_bits / _LOG2_10) - 2), 50)
+        try:
+            return render_decimal(self.value, shown)
+        except DomainError:  # a decimal exponent past RENDER_EXPONENT_CAP
+            return mpmath.nstr(self.value, shown, strip_zeros=False)
 
     def __repr__(self) -> str:
         return f"BigReal({self!s}, bits={self.computed_at_bits})"

@@ -22,6 +22,13 @@ Tails of each trapezoid sum are cut adaptively: a sweep stops once several
 consecutive node pairs contribute below the tolerance, which is what makes
 endpoint singularities converge at the same rate as smooth integrands.
 
+That cut can stop an exp-sinh sum past t = 2, before mass far from x = 1.
+When the level-0 centre and node pairs at t = 1 and 2 all lie below the
+finest level's cut floor, the sweep moves x -> 2^j x onto the level-0 node
+of largest x f(x) until it lies within t = 1 of the centre (Mori and
+Sugihara, J. Comput. Appl. Math. 127 (2001) 287), or refuses after
+_MAX_MOVES moves.  Mass those nodes see is summed as before, bit for bit.
+
 After each level m >= 1 the sweep estimates the error of its sum T_m.  With
 d_m = |T_m - T_{m-1}| and scale = max(1, |T_m|), the estimate E_m is the
 largest of three terms (after Bailey, Jeyabalan and Li, Experimental Math.
@@ -36,7 +43,8 @@ The sweep stops at the first level whose E_m is at most the tolerance,
 max(eps * scale, the roundoff term), and reports E_m as the result's
 `error_estimate`.  For an integrand the map resolves it bounds
 |value - integral|; it is an estimate, not a proof, and a sum that misses
-mass its nodes never reach is not bounded by it.
+mass its nodes never reach, such as a spike between them, is not bounded
+by it.
 
 All summation is sequential in a fixed node order, so results are exactly
 reproducible run to run.
@@ -45,6 +53,7 @@ reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import mpmath
@@ -52,6 +61,7 @@ from mpmath import mp, mpf
 
 from .precision import (
     BigReal,
+    ConvergenceError,
     IntegrandError,
     PrecisionContext,
     TailBoundError,
@@ -60,6 +70,10 @@ from .precision import (
 )
 
 DEFAULT_MAX_LEVEL = 12
+
+#: Moves of the exp-sinh map a sweep may make looking for the integrand's
+#: mass before it refuses; each moves x by up to the level-0 table's reach.
+_MAX_MOVES = 64
 
 #: The error estimate's rate term, RATE_SCALE * (d/scale)^RATE_ORDER * scale
 #: for a level difference d below the one before it.  The sum about squares
@@ -197,13 +211,14 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
         if not eps > 0:
             raise ValueError("eps must be positive")
         if b is None:
-            kind, centre, hw = "es", a + 1 if a else _LogAbscissa(mpf(1), mpf(0)), mpf(1)
+            kind, centre = "es", _LogAbscissa(mpf(1), mpf(0))
         else:
             kind, centre, hw = "ts", (a + b) / 2, (b - a) / 2
         cert_beyond = mpf(tail_bound.beyond) if tail_bound is not None else None
         half_pi = mpmath.pi / 2
-        # the centre's log weight, which only a certificate's skip test reads
-        log_centre_w = mpmath.ln(half_pi) if tail_bound is not None else None
+        # the exp-sinh centre's log weight, read by a certificate's skip test
+        # and by a move of the map
+        log_centre_w = mpmath.ln(half_pi) if b is None else None
         noise = mpmath.ldexp(1, -(prec - 10))
         ln2 = mpmath.ln(2)
 
@@ -242,33 +257,70 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                 )
             return weight * fv
 
+        def place(x, w, log_w, j):
+            """An exp-sinh node (x, w, ln w) with the map moved by x -> 2^j x,
+            exact in x and w, then shifted by a."""
+            if j:
+                shift = j * ln2
+                x = _LogAbscissa(mpmath.ldexp(x, j), x.ln + shift)
+                w, log_w = mpmath.ldexp(w, j), log_w + shift
+            return (a + x if a else x), w, log_w
+
+        def scout(j, pairs, known=()):
+            """The level-0 exp-sinh centre and its first `pairs` node pairs
+            (all when None), at t = 0, 1, -1, 2, -2, ... with the map moved by
+            2^j: the unmoved nodes and their w f, taken from `known` first."""
+            nodes = [(centre, half_pi, log_centre_w)]
+            for node in islice(_nodes(kind, prec, 0), pairs):
+                nodes += [node[:3], node[3:]]
+            return nodes, [*known, *(evaluate(*place(*node, j)) for node in nodes[len(known):])]
+
+        term_floor = eps / 16
+        log_term_floor = mpmath.ln(term_floor)
+        j = 0
+        if b is None:
+            # the move of the module docstring; x f is the mass per unit of
+            # ln x, and level0 keeps the final scout's w f for level 0's sum
+            _, level0 = scout(0, 2)
+            floor = log_term_floor + max_level * ln2
+            if all(mpmath.ln(abs(v)) < floor for v in level0):
+                known = level0
+                for _ in range(_MAX_MOVES):
+                    nodes, level0 = scout(j, None, known)
+                    mass = [mpmath.ln(abs(v)) - log_w + x.ln
+                            for (x, _, log_w), v in zip(nodes, level0)]
+                    best = mass.index(max(mass))
+                    if best < 3:
+                        break
+                    j, known = j + round(nodes[best][0].ln / ln2), ()
+                else:
+                    raise ConvergenceError(f"no mass found in {_MAX_MOVES} moves of the exp-sinh map")
+        else:
+            level0 = [evaluate(centre, half_pi * hw, None)]
+
         total = None
         prev = None
         diffs = []
         converged = False
         level = 0
-        scale_est = mpf(1)
         for level in range(0, max_level + 1):
             h = mpf(2) ** (-level)
-            term_floor = eps * scale_est / 16
-            log_term_floor = mpmath.ln(term_floor)
             # |contrib| * h < term_floor, exactly, since h is a power of two
             tail_floor = term_floor / h
-            part = evaluate(centre, half_pi * hw, log_centre_w) if level == 0 else mpf(0)
+            part = mpf(0) if level else level0[0]
             quiet = 0
             for index, node in enumerate(_nodes(kind, prec, level), 1):
-                if b is None:
-                    x, w, log_w, x_small, w_small, log_w_small = node
-                    if a:
-                        x, x_small = a + x, a + x_small
-                    contrib = evaluate(x, w, log_w) + evaluate(x_small, w_small, log_w_small)
+                if not level and 2 * index < len(level0):
+                    contrib = level0[2 * index - 1] + level0[2 * index]
+                elif b is None:
+                    contrib = evaluate(*place(*node[:3], j)) + evaluate(*place(*node[3:], j))
                 else:
                     d, w = node
                     offset, weight = d * hw, w * hw
                     contrib = evaluate(b - offset, weight, None) + evaluate(a + offset, weight, None)
                 part += contrib
                 # Tail cut: several consecutive negligible contributions, but
-                # never before t = j*h reaches past the weight hump at ~1.
+                # never before t = index*h reaches past the weight hump at ~1.
                 if index * h >= 1:
                     if abs(contrib) < tail_floor:
                         quiet += 1
@@ -291,6 +343,8 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                     converged = True
                     break
             prev = total
+            term_floor = eps * scale_est / 16
+            log_term_floor = mpmath.ln(term_floor)
         total = +total
         err = +(err if diffs else abs(total))
     return IntegralResult(
@@ -338,7 +392,8 @@ def integrate_semi_infinite(
 
     Without a certificate the integrand must be evaluable (and decaying)
     everywhere; with one, far-tail nodes it covers are skipped or zeroed
-    per the certificate contract.
+    per the certificate contract.  Raises ConvergenceError when the map's
+    moves (module docstring) do not reach the integrand's mass.
     """
     return _integrate(f, as_mpf(a, ctx), None, eps, ctx, tail_bound, max_level)
 

@@ -12,6 +12,21 @@ from expmath import barzilai_borwein as bb
 from expmath.precision import DomainError
 
 
+def check_gradient(f, x, h=1e-6):
+    """Max relative error of f's supplied gradient against central
+    differences: the oracle for the bundled problems' gradients."""
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(f.gradient(x), dtype=float)
+    worst = 0.0
+    for i in range(f.dimension):
+        e = np.zeros_like(x)
+        e[i] = h
+        approx = (f.evaluate(x + e) - f.evaluate(x - e)) / (2 * h)
+        scale = max(1.0, abs(g[i]), abs(approx))
+        worst = max(worst, abs(g[i] - approx) / scale)
+    return worst
+
+
 class TestStepFormulas:
     def test_hand_computed_values(self):
         s = np.array([2.0, 1.0])
@@ -438,9 +453,9 @@ class TestProblemLibrary:
             bb.QuadraticObjective(np.ones((2, 3)))
 
     def test_gradients_match_finite_differences(self):
-        assert bb.check_gradient(bb.rosenbrock(), [-1.2, 1.0]) < 1e-6
-        assert bb.check_gradient(bb.sphere(3), [1.0, -2.0, 0.5]) < 1e-8
-        assert bb.check_gradient(bb.random_spd(4, seed=5), [1.0, 2.0, 3.0, 4.0]) < 1e-7
+        assert check_gradient(bb.rosenbrock(), [-1.2, 1.0]) < 1e-6
+        assert check_gradient(bb.sphere(3), [1.0, -2.0, 0.5]) < 1e-8
+        assert check_gradient(bb.random_spd(4, seed=5), [1.0, 2.0, 3.0, 4.0]) < 1e-7
 
     def test_gradient_checker_catches_errors(self):
         lying = bb.ObjectiveFunction(
@@ -449,7 +464,7 @@ class TestProblemLibrary:
             gradient=lambda x: np.asarray(x),  # off by a factor of 2
             name="lying",
         )
-        assert bb.check_gradient(lying, [1.0, 1.0]) > 1e-3
+        assert check_gradient(lying, [1.0, 1.0]) > 1e-3
 
     def test_problem_registry(self):
         for name, factory in bb.PROBLEMS.items():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import mpmath
@@ -159,8 +160,8 @@ def _library_moment(n: int) -> mpf:
 
 class TestLargeN:
     """The integrand's mass sits where K0(t) = n/2, at t near 2e^{-gamma-n/2};
-    c_n moves it onto x near 1 with t = 2^k x when the exp-sinh tail cut
-    could otherwise stop before the peak."""
+    once the exp-sinh nodes at |t| <= 2 miss it, the quadrature sweep moves
+    its map onto the peak by an exact power of two."""
 
     LARGE = (80, 128, 256, 512)
 
@@ -193,9 +194,9 @@ class TestLargeN:
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_far_past_the_limit_gap(self, n):
         # C_n - C_inf < 1e-29 from n = 100 on, so C_inf is the reference.
-        # Here the plus-side nodes below the certificate reach x = 2^{1-k},
-        # far above 1, where a negligible-looking integrand value still
-        # carries a weight of about x.
+        # Here the moved map's plus-side nodes below the certificate reach
+        # t = 2, far above the peak, where a negligible-looking integrand
+        # value still carries a weight of about t.
         ctx = PrecisionContext.from_digits(30)
         rec = bessel_moments.c_n(n, ctx)
         limit = bessel_moments.c_infinity(ctx).value
@@ -204,7 +205,7 @@ class TestLargeN:
 
     @pytest.mark.parametrize("n", [48, 56, 64])
     def test_fifteen_digits(self, n):
-        # without the shift each of these raised ConvergenceError
+        # without the move each of these raised ConvergenceError
         ctx = PrecisionContext.from_digits(15)
         rec = bessel_moments.c_n(n, ctx)
         limit = bessel_moments.c_infinity(ctx).value
@@ -214,7 +215,6 @@ class TestLargeN:
 
     def test_unshifted_range_keeps_memo_reuse(self, monkeypatch):
         ctx = PrecisionContext.from_digits(30)
-        assert bessel_moments._shift_exponent(20, bessel_moments._default_eps(ctx)) == 0
         raw = functions._log_k0_raw
         calls = []
 
@@ -231,6 +231,15 @@ class TestLargeN:
         del calls[:]
         bessel_moments.c_n(20, ctx)
         assert len(calls) < cold
+
+    def test_mass_past_the_move_budget_is_refused_fast(self):
+        # the peak near t = e^{-25000} lies past 64 moves of the map, each
+        # reaching about e^{317} at 30 digits
+        ctx = PrecisionContext.from_digits(30)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            bessel_moments.c_n(5 * 10 ** 4, ctx)
+        assert time.perf_counter() - start < 1
 
     def test_nonconvergence_reports_the_error_estimate_as_such(self, monkeypatch):
         # one refinement level cannot reach 1e-25; the message must label the
@@ -341,20 +350,51 @@ class TestLogK0Memo:
 
 
 class TestBitIdentity:
-    def test_raw_tuples_are_pinned(self):
-        # the sha256 of the raw (value, error) mpf tuples: a change that only
-        # saves arithmetic must leave every bit of C_n as it is; n = 150
-        # integrates in x = t/2^k with k != 0
-        calls = [(n, 30, 25) for n in (1, 2, 3, 4, 8, 20)] + [(4, 60, 52), (150, 30, 25)]
-        assert bessel_moments._shift_exponent(150, mpf(10) ** -25) != 0
-        raws = []
-        for n, digits, eps_exp in calls:
-            with mp.workprec(64):
-                eps = mpf(10) ** -eps_exp
-            rec = bessel_moments.c_n(n, PrecisionContext.from_digits(digits), eps)
-            raws.append((rec.value.value._mpf_, rec.error_estimate.value._mpf_))
-        digest = hashlib.sha256(repr(raws).encode()).hexdigest()
-        assert digest == "0b3e6dc6d447bccb9b099292b4aac620c27c0c4a4550aa13b387cba84384726c"
+    """The sha256 of each call's raw (value, error) mpf tuples: a change that
+    only saves arithmetic must leave every bit of C_n as it is, and a change
+    that moves one names the call.  At n = 150 the sweep moves its map, and
+    the pin covers that path too."""
+
+    PINNED = {
+        (1, 30, 25): "68e8e3759334e12187c37b8eac5d35c7e12abcb9fb8ee2cea745890e28917061",
+        (2, 30, 25): "688790b978ae813d22243d075a915f4becc5005c9a303599abd72d7adc023730",
+        (3, 30, 25): "f206028b8d5c98f927ac0b76561592d1823d59b8effc13d0f1bb6f446af738fb",
+        (4, 30, 25): "4dbe4cb8c040563b8d66144ac5f553ac60d3a19d0eea59e7d057e4b6f62639f4",
+        (8, 30, 25): "3a823e9eb3865bd4e2c845b31297e703a3a021d70ce1963371c097523f2e525f",
+        (20, 30, 25): "85d349dbb54250d0fad497f8c1441bbf38e5d9c2557cb3dffcaa733461896a3b",
+        (4, 60, 52): "6de5c7f2a6eb5bce3d670b1115ed1de79fc733c14a4b21190dedb05875a9bd9c",
+        (150, 30, 25): "a0d2ee98093ac555a9fee49b82e6d65fe4bc1a8a4068bd71a8d0f75702fc4c29",
+    }
+
+    @staticmethod
+    def _c_n(n, digits, eps_exp):
+        with mp.workprec(64):
+            eps = mpf(10) ** -eps_exp
+        return bessel_moments.c_n(n, PrecisionContext.from_digits(digits), eps)
+
+    @pytest.mark.parametrize("call", list(PINNED), ids=lambda c: "n%d-d%d-e%d" % c)
+    def test_raw_tuples_are_pinned(self, call):
+        rec = self._c_n(*call)
+        raw = (rec.value.value._mpf_, rec.error_estimate.value._mpf_)
+        assert hashlib.sha256(repr(raw).encode()).hexdigest() == self.PINNED[call]
+
+    def test_n150_moves_the_map(self, monkeypatch):
+        # the exp-sinh centre, the one node at an exact power of two 2^j,
+        # leaves t = 1 for the peak at t = 2e^{-gamma-75}, about 2^-108
+        real = quadrature.integrate_semi_infinite
+        centres = []
+
+        def recording(f, *args, **kwargs):
+            def g(t):
+                if t._mpf_[1] == 1:
+                    centres.append(t._mpf_[2])
+                return f(t)
+
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_semi_infinite", recording)
+        self._c_n(150, 30, 25)
+        assert centres[0] == 0 and abs(centres[-1] + 108) <= 4
 
 
 class TestRecordValidation:

@@ -111,6 +111,21 @@ class TestRendering:
             render_decimal(x, 20)
         assert time.perf_counter() - start < 0.05
 
+    def test_str_and_repr_render_past_the_cap(self):
+        # str() and repr() serve logs and debuggers, so a legitimate value
+        # past the cap, such as K0(3e6) ~ 2.59e-1302887, prints through mpmath
+        from expmath import functions
+
+        ctx = PrecisionContext.from_digits(30)
+        v = functions.bessel_k0(3 * 10 ** 6, ctx)
+        text = str(v)
+        assert text.startswith("2.592922507549432661877") and text.endswith("e-1302887")
+        assert repr(v) == f"BigReal({text}, bits={ctx.bits})"
+        # inside the cap both still go through the exact renderer
+        with mp.workprec(ctx.bits):
+            inside = make_real(mpf("9.5e1000000"), ctx)
+        assert str(inside) == render_decimal(inside.value, 39)
+
 
 class TestParsingAndCoercion:
     def test_parse_round_trip(self):

@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 
 from expmath import quadrature
 from expmath.precision import (
+    ConvergenceError,
     IntegrandError,
     PrecisionContext,
     TailBoundError,
@@ -167,6 +168,71 @@ class TestSemiInfinite:
         )
         with mp.workprec(ctx.bits + 16):
             _check(r, mpf(1), mpf(10) ** -25)
+
+
+class TestFarMass:
+    """The unit-mass density x^3 e^{-x/s} / (6 s^4) puts its mass near x = 3s.
+    Far from x = 1 the nodes at |t| <= 2 see none of it, and the exp-sinh
+    sweep moves its map onto the mass by exact powers of two."""
+
+    EPS_EXP = 25
+
+    @staticmethod
+    def _density(s, ctx):
+        with mp.workprec(ctx.bits + 16):
+            sv = mpf(s)
+            return lambda x: x ** 3 * mpmath.exp(-x / sv) / (6 * sv ** 4)
+
+    @pytest.mark.parametrize("s", ["1e-30", "1e-10", "1e10"])
+    def test_converges_to_the_unit_mass(self, s):
+        # without the move: 2.1e-2252161657625246291 reported as converged
+        # at 1e-30, and no convergence in 12 levels at 1e-10 and 1e10
+        ctx = PrecisionContext.from_digits(30)
+        eps = mpf(10) ** -self.EPS_EXP
+        r = quadrature.integrate_semi_infinite(self._density(s, ctx), 0, eps, ctx)
+        with mp.workprec(ctx.bits + 16):
+            _check(r, mpf(1), eps)
+
+    @settings(max_examples=60)
+    @given(log10_s=st.floats(-40, 40))
+    def test_no_wrong_value_reports_convergence(self, log10_s):
+        ctx = PrecisionContext.from_digits(30)
+        with mp.workprec(ctx.bits + 16):
+            s = mpf(10) ** mpf(log10_s)
+        eps = mpf(10) ** -self.EPS_EXP
+        r = quadrature.integrate_semi_infinite(self._density(s, ctx), 0, eps, ctx)
+        if r.converged:
+            with mp.workprec(ctx.bits + 16):
+                assert abs(r.value.value - 1) <= eps
+
+    def test_unreachable_mass_is_refused(self):
+        # a log-normal bump of mass sqrt(pi) at ln x = -10^5: each move reaches
+        # about e^{317} at 30 digits, so the bump is past the move budget and
+        # the sweep must refuse, not report a sum
+        ctx = PrecisionContext.from_digits(30)
+        with pytest.raises(ConvergenceError):
+            quadrature.integrate_semi_infinite(
+                lambda x: mpmath.exp(-(x.ln + 10 ** 5) ** 2 - x.ln), 0,
+                mpf(10) ** -self.EPS_EXP, ctx,
+            )
+
+    def test_mass_near_one_keeps_the_map(self):
+        # e^{-x} is seen at t = 0: every node the sweep reads is an unmoved
+        # table node, and none is evaluated twice
+        ctx = PrecisionContext.from_digits(30)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return mpmath.exp(-x)
+
+        r = quadrature.integrate_semi_infinite(f, 0, mpf(10) ** -25, ctx)
+        table = {mpf(1)}
+        for level in range(r.levels_used + 1):
+            for node in quadrature._nodes("es", ctx.bits + 16, level):
+                table.update((node[0], node[3]))
+        assert seen[0] == 1 and all(x in table for x in seen)
+        assert len(seen) == len(set(seen))
 
 
 class TestResultMetadata:
