@@ -261,10 +261,11 @@ def _log_k0_raw(t: mpf, prec: int) -> mpf:
 
 
 def bessel_k0_integral(t, ctx: PrecisionContext) -> BigReal:
-    """Arbiter route: K0(t) = int_0^inf exp(-t cosh u) du by quadrature.
+    """Arbiter route: K0(t) = e^-t int_0^inf exp(-2t sinh^2(u/2)) du by quadrature.
 
     Slower than the series/asymptotic routes but valid for every t > 0;
-    used to referee between them.
+    used to referee between them.  The integral is about sqrt(pi/(2t)) for
+    large t and never small, so its absolute eps is a relative one.
     """
     from . import quadrature  # local import keeps the dependency one-way
 
@@ -274,15 +275,14 @@ def bessel_k0_integral(t, ctx: PrecisionContext) -> BigReal:
     work = ctx.widened(8)
     with mp.workprec(work.bits):
         eps = mpf(10) ** (-(ctx.target_digits + 4))
-    # exp(-t cosh u) dives doubly-exponentially; certify the tail so the
+    # the integrand dives doubly-exponentially; certify the tail so the
     # engine can skip far nodes instead of materializing their exponents
-    certificate = quadrature.DecayCertificate(
-        beyond=2.0, log_bound=lambda u: -tv * mpmath.cosh(u)
-    )
+    log_f = lambda u: -2 * tv * mpmath.sinh(u / 2) ** 2
     res = quadrature.integrate_semi_infinite(
-        lambda u: mpmath.exp(-tv * mpmath.cosh(u)), 0, eps, work, tail_bound=certificate
-    )
-    return make_real(res.value.value, ctx)
+        lambda u: mpmath.exp(log_f(u)), 0, eps, work,
+        tail_bound=quadrature.DecayCertificate(beyond=2.0, log_bound=log_f))
+    with mp.workprec(work.bits):
+        return make_real(mpmath.exp(-tv) * res.value.value, ctx)
 
 
 def _as_fraction(x) -> Fraction:

@@ -9,23 +9,21 @@ are computed by separate formulas.  The identity holds exactly while the
 total frequency sum_{k=0}^{N} 1/(2k+1) stays below 2*pi (a Poisson-summation
 aliasing criterion) and first fails at N = 40249.
 
-For N <= 16 both sides are exact sums over the same 2^N sign patterns of
-the frequencies sum_k (+/-)1/(2k+1), enumerated once in integers
-(`_sign_patterns`).  Sum side: the product of sines is a signed sum of
+For N <= 20 both sides are exact, read from integer power sums over the
+2^N sign patterns of the frequencies sum_k (+/-)1/(2k+1) (`_power_sums`,
+which lists no pattern).  Sum side: the product of sines is a signed sum of
 cosines or sines at those frequencies, whose Fourier series sum_n
 cos(n*theta)/n^s resp. sin(n*theta)/n^s are Bernoulli polynomials, so the
-sum is a polynomial in 2*pi with rational coefficients built from the
-patterns' power sums.  Integral side: Borwein's sign sum gives r*pi with r
-rational, 1/2 for N <= 6 and exactly below that at N = 7.
+sum is a polynomial in 2*pi with rational coefficients.  Integral side:
+Borwein's sign sum gives r*pi with r rational, 1/2 for N <= 6 and exactly
+below that at N = 7.
 
-The sum side's Bernoulli form holds while every frequency lies in
-[0, 2 pi], that is while sum_k 1/(2k+1) < 2 pi, so up to N = 40248; the
-limit of 16 is set by cost (2^16 patterns take about half a second).
-Beyond, the sum is summed directly under the rigorous tail bound D/(N n^N),
-D = (2N+1)!! (this route shares nothing with the sign patterns and checks
-them on overlapping cases), and the integral by panelled tanh-sinh
-quadrature on [0, T] under the envelope tail bound D/(N T^N), refused when
-its work, panels x (N+1) factors x working bits, passes _PANEL_CAP.
+The Bernoulli form holds while sum_k 1/(2k+1) < 2 pi (N <= 40248); the
+limit of 20 is set by cost (about 0.1 s a side at N = 20).  Beyond, the sum
+is summed directly under the rigorous tail bound D/(N n^N), D = (2N+1)!!,
+and the integral by panelled tanh-sinh quadrature on [0, T] under the
+envelope tail bound D/(N T^N), refused when its work, panels x (N+1)
+factors x working bits, passes _PANEL_CAP.  Both check the power sums.
 """
 
 from __future__ import annotations
@@ -49,15 +47,15 @@ from .precision import (
     make_real,
 )
 
-#: Largest N evaluated in closed form on both sides, over 2^N sign patterns.
-EXPANSION_LIMIT = 16
+#: Largest N evaluated in closed form on both sides, from `_power_sums`.
+EXPANSION_LIMIT = 20
 
 #: Direct summation refuses more terms than this.
 _DIRECT_TERM_CAP = 5_000_000
 
 #: The panelled integral (N > EXPANSION_LIMIT) refuses more work than this,
-#: counted as panels x (N+1) sinc factors x working bits: N = 17 at 30 digits
-#: (eps 1e-28, 206 panels at 137 bits) is half of it and takes about 8 s
+#: counted as panels x (N+1) sinc factors x working bits: N = 21 at 25 digits
+#: (eps 1e-28, 121 panels at 137 bits) is a third of it and takes about 3 s
 #: with pure-Python mpmath.
 _PANEL_CAP = 1_000_000
 
@@ -129,27 +127,40 @@ def _bernoulli_number(m: int) -> Fraction:
 
 
 def _odd_double_factorial(N: int) -> int:
-    out = 1
-    for k in range(N + 1):
-        out *= 2 * k + 1
-    return out
+    return math.prod(range(1, 2 * N + 2, 2))
 
 
 def _frac_to_mpf(fr: Fraction) -> mpf:
     return mpf(fr.numerator) / fr.denominator
 
 
-def _sign_patterns(N: int) -> tuple[int, list[tuple[int, int]]]:
-    """(P, [(B_gamma, eps_gamma)]) over the sign patterns gamma in {+-1}^(N+1)
-    with gamma_0 = +1: P = prod_{k=0}^{N} (2k+1), B_gamma = sum_k gamma_k
-    P/(2k+1) (P times the frequency sum_k gamma_k/(2k+1)) and eps_gamma =
-    prod_k gamma_k.  Both sides of the identity are sums over these."""
+def _power_sums(N: int) -> tuple[int, list[int], list[int]]:
+    """(P, U, S): P = prod_{k=0}^{N} (2k+1), and for k = 0..N+1 the sums
+    U_k = sum eps B^k and S_k = sum eps sgn(B) B^k over the sign patterns
+    gamma in {+-1}^(N+1) with gamma_0 = +1, B = sum_j gamma_j P/(2j+1) and
+    eps = prod_j gamma_j.  U needs no pattern: sum eps e^(Bz) = e^(Pz)
+    prod_{j=1}^{N} 2 sinh(w_j z), w_j = P/(2j+1), starts at z^N, so U_k = 0
+    for k < N, U_N = N! 2^N prod_j w_j and U_(N+1) = (N+1) P U_N.
+    S_k = U_k - 2 sum_{B<0} eps B^k, by a walk in descending frequency that
+    drops a prefix whose B is at least the sum still to come.  B = 0 counts
+    as positive and so moves only S_0, which the sum side reads times b_s
+    (odd s >= 3, so 0) and the integral side not at all.
+    """
     P = _odd_double_factorial(N)
-    signed = [(P, 1)]
-    for k in range(1, N + 1):
-        w = P // (2 * k + 1)
-        signed = [pair for B, e in signed for pair in ((B + w, e), (B - w, -e))]
-    return P, signed
+    ws = [P // (2 * k + 1) for k in range(1, N + 1)]
+    U_N = math.factorial(N) * 2 ** N * math.prod(ws)
+    U = [0] * N + [U_N, (N + 1) * P * U_N]
+    rest = [sum(ws[i:]) for i in range(N + 1)]
+    neg, stack = [0] * (N + 2), [(0, P, 1)]
+    while stack:
+        i, B, e = stack.pop()
+        if i == N and B < 0:
+            for k in range(N + 2):
+                neg[k] += e
+                e *= B
+        elif i < N and B < rest[i]:
+            stack += ((i + 1, B + ws[i], e), (i + 1, B - ws[i], -e))
+    return P, U, [u - 2 * n for u, n in zip(U, neg)]
 
 
 def _sum_coefficients(N: int) -> list[Fraction]:
@@ -160,30 +171,25 @@ def _sum_coefficients(N: int) -> list[Fraction]:
     and trig = sin, sigma = sgn(B) for odd s.  Each sum_n trig(n theta)/n^s
     is (-1)^(s//2+1) (2 pi)^s / (2 s!) b_s(theta/(2 pi)) on [0, 2 pi], where
     every |B|/P lies while sum_k 1/(2k+1) < 2 pi.  The two signs multiply to
-    -1, so with the power sums S_k = sum eps sigma |B|^k and the Bernoulli
-    numbers b_j, q_j = -P C(s, j) b_j S_(s-j) / (2^s s! P^(s-j)).
+    -1, so with T_k = sum eps sigma |B|^k, which is U_k for even k + s and
+    S_k otherwise, q_j = -P C(s, j) b_j T_(s-j) / (2^s s! P^(s-j)).
     """
     s = N + 1
-    P, signed = _sign_patterns(N)
-    sums = [0] * (s + 1)
-    for B, e in signed:
-        t = e if s % 2 == 0 or B > 0 else (-e if B else 0)
-        a = abs(B)
-        for k in range(s + 1):
-            sums[k] += t
-            t *= a
+    P, U, S = _power_sums(N)
+    T = [U[k] if (k + s) % 2 == 0 else S[k] for k in range(s + 1)]
     c = Fraction(-P, 2 ** s * math.factorial(s))
-    return [c * math.comb(s, j) * _bernoulli_number(j) * Fraction(sums[s - j], P ** (s - j))
+    return [c * math.comb(s, j) * _bernoulli_number(j) * Fraction(T[s - j], P ** (s - j))
             for j in range(s + 1)]
 
 
 def sinc_sum(N: int, eps, ctx: PrecisionContext) -> BigReal:
     """1/2 + sum_{n>=1} prod_{k=0}^{N} sinc(n/(2k+1)).
 
-    For N <= EXPANSION_LIMIT the sum is the exact polynomial in 2 pi of
-    `_sum_coefficients`, evaluated by Horner's rule at ctx.bits + 96 bits
-    (the only error is roundoff, far below any admissible eps); beyond
-    that, by direct summation truncated under the D/(N n^N) tail bound.
+    For N <= EXPANSION_LIMIT the sum is the exact polynomial in 2 pi that
+    `_sum_coefficients` builds from `_power_sums`, evaluated by Horner's
+    rule at ctx.bits + 96 bits (the only error is roundoff, far below any
+    admissible eps); beyond that, by direct summation truncated under the
+    D/(N n^N) tail bound.
     """
     if N < 1:
         raise DomainError("N must be at least 1")
@@ -234,17 +240,13 @@ def sinc_integral_ratio(N: int) -> Fraction:
     for 1 <= N <= EXPANSION_LIMIT.
 
     Borwein and Borwein, Ramanujan J. 5 (2001) 73; Baillie, Borwein and
-    Borwein, Amer. Math. Monthly 115 (2008) 888: over the sign patterns of
-    `_sign_patterns`, with m = N+1, r = 2P sum_gamma eps_gamma sgn(B_gamma)
-    B_gamma^(m-1) / (2^(m+1) (m-1)! P^(m-1)), the 2 folding gamma and -gamma.
+    Borwein, Amer. Math. Monthly 115 (2008) 888: with the power sum S_N of
+    `_power_sums`, r = 2P S_N / (2^(N+2) N! P^N), the 2 folding gamma and -gamma.
     """
     if not 1 <= N <= EXPANSION_LIMIT:
         raise DomainError(f"the closed form is evaluated for 1 <= N <= {EXPANSION_LIMIT}")
-    m = N + 1
-    P, signed = _sign_patterns(N)
-    # sgn(0) = 0, and B**(m-1) is 0 there as well
-    total = sum(e * B ** (m - 1) if B > 0 else -e * B ** (m - 1) for B, e in signed)
-    return Fraction(2 * P * total, 2 ** (m + 1) * math.factorial(m - 1) * P ** (m - 1))
+    P, _, S = _power_sums(N)
+    return Fraction(2 * P * S[N], 2 ** (N + 2) * math.factorial(N) * P ** N)
 
 
 def sinc_integral(N: int, eps, ctx: PrecisionContext) -> BigReal:
@@ -313,11 +315,8 @@ def identity_report(N: int, eps, ctx: PrecisionContext) -> SincIdentityReport:
     with mp.workprec(ctx.bits + 16):
         diff = +(lhs.value - rhs.value)
         rounding = mpmath.ldexp(max(1, abs(lhs.value)), -(ctx.bits - 8))
-        if N <= EXPANSION_LIMIT:
-            # sum side is exact; the integral side still carries its eps
-            bound = +(mpf(eps) + rounding)
-        else:
-            bound = +(2 * mpf(eps) + rounding)
+        # the closed-form sum carries no eps; the integral side still does
+        bound = +((1 if N <= EXPANSION_LIMIT else 2) * mpf(eps) + rounding)
     return SincIdentityReport(
         N=N,
         lhs=lhs,

@@ -468,18 +468,21 @@ class TestSinc:
         assert "lhs = 1.5707963267949" in out
         assert "truncation_bound = " in out
 
-    def test_closed_form_through_sixteen(self, capsys):
+    def test_closed_form_through_the_expansion_limit(self, capsys):
         # N = 13 at 25 digits took 12 s by panelled quadrature
         start = time.monotonic()
         assert run(["sinc", "--N", "13", "--digits", "25", "--format", "json"]) == 0
         assert time.monotonic() - start < 1.0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lhs"] == payload["rhs"] == "1.570794253715952910068919"
+        assert run(["sinc", "--N", "20", "--digits", "30", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lhs"] == payload["rhs"] == "1.57078911815773609183209279027"
 
     def test_integral_past_the_panel_cap_fails_fast(self, capsys):
-        # N = 17 at 40 digits needs T ~ 4700, about 1570 panels at 187 bits (minutes)
+        # N = 21 at 40 digits needs T ~ 1900, 626 panels at 171 bits (minutes)
         start = time.monotonic()
-        assert run(["sinc", "--N", "17", "--digits", "40"]) == 1
+        assert run(["sinc", "--N", "21", "--digits", "40"]) == 1
         assert time.monotonic() - start < 1.0
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "panels" in captured.err

@@ -104,6 +104,20 @@ class TestBesselK0:
         with mp.workprec(ctx.bits + 32):
             assert abs(direct.value - via_integral.value) < mpf(10) ** -38
 
+    @settings(max_examples=15)
+    @given(digits=st.integers(15, 40), position=st.floats(0, 1))
+    def test_integral_route_keeps_relative_accuracy(self, digits, position):
+        # t log-uniform in [1e-3, 1e6]: the quadrature sees an integral of
+        # about sqrt(pi/(2t)), never small, so K0 far below its absolute eps
+        # keeps every digit
+        ctx = PrecisionContext.from_digits(digits)
+        with mp.workprec(ctx.bits):
+            t = mpf(10) ** (-3 + 9 * position)
+        via_integral = functions.bessel_k0_integral(t, ctx)
+        direct = functions.bessel_k0(t, ctx)
+        with mp.workprec(ctx.bits + 64):
+            assert abs(via_integral.value - direct.value) <= abs(direct.value) * mpf(10) ** -digits
+
     @pytest.mark.parametrize("t_text", ["0.05", "0.7", "2", "11", "37", "150"])
     def test_matches_library_bessel(self, t_text):
         ctx = PrecisionContext.from_digits(45)

@@ -116,7 +116,7 @@ class TestFirstFailure:
 
 class TestRoutes:
     def test_direct_summation_cross_checks_closed_form(self):
-        # the term-by-term route shares no code with the sign patterns the
+        # the term-by-term route shares no code with the power sums the
         # closed form is built from
         ctx = PrecisionContext.from_digits(30)
         for N, direct_eps_exp, tol_exp in ((3, 11, 10), (12, 25, 24)):
@@ -131,10 +131,11 @@ class TestRoutes:
         with pytest.raises(ConvergenceError):
             sinc_identity._direct_sum(3, mpf(10) ** -25, ctx)
 
-    @pytest.mark.parametrize("N", [3, 17])
+    @pytest.mark.parametrize("N", [3, sinc_identity.EXPANSION_LIMIT + 1])
     @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
     def test_nonpositive_eps_is_refused_on_both_sides(self, N, eps):
-        # N = 3 sums in closed form, which needs no eps, and N = 17 directly
+        # N = 3 sums in closed form, which needs no eps, and the next N past
+        # the closed form directly
         ctx = PrecisionContext.from_digits(30)
         for side in (sinc_identity.sinc_sum, sinc_identity.sinc_integral):
             with pytest.raises(ValueError, match="eps must be positive"):
@@ -173,6 +174,19 @@ def _sign_sum_ratio(N):
     return total / (2 ** (m + 1) * math.factorial(m - 1) * math.prod(a))
 
 
+def _brute_power_sums(N):
+    """(P, U, S) of `_power_sums`, from every sign pattern in turn."""
+    P = math.prod(range(1, 2 * N + 2, 2))
+    U, S = [0] * (N + 2), [0] * (N + 2)
+    for gamma in itertools.product((1, -1), repeat=N):
+        B = P + sum(g * P // (2 * k + 3) for k, g in enumerate(gamma))
+        e, sign = math.prod(gamma), 1 if B >= 0 else -1  # B = 0 counts as positive
+        for k in range(N + 2):
+            U[k] += e * B**k
+            S[k] += e * sign * B**k
+    return P, U, S
+
+
 @pytest.fixture
 def no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
@@ -199,11 +213,12 @@ class TestClosedFormIntegral:
             sinc_identity.sinc_integral_ratio(N)
 
     def test_matches_the_sum_side(self):
-        # both sides read the same `_sign_patterns` and part there: the sum
+        # both sides read the same `_power_sums` and part there: the sum
         # through Bernoulli polynomials, the integral through Borwein's sign
-        # sum.  The sum side is checked without the patterns by
+        # sum.  The sum side is checked without the power sums by
         # TestRoutes::test_direct_summation_cross_checks_closed_form, the
-        # integral side by _sign_sum_ratio (test_matches_the_unscaled_formula).
+        # integral side by _sign_sum_ratio (test_matches_the_unscaled_formula),
+        # and the power sums themselves by _brute_power_sums.
         ctx = PrecisionContext.from_digits(50)
         for N in range(1, sinc_identity.EXPANSION_LIMIT + 1):
             s = sinc_identity.sinc_sum(N, mpf(10) ** -48, ctx)
@@ -221,6 +236,10 @@ class TestClosedFormIntegral:
         assert all(c == 0 for c in q[2:])
         assert 2 * q[1] == sinc_identity.sinc_integral_ratio(N)
 
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_power_sums_match_every_sign_pattern(self, N):
+        assert sinc_identity._power_sums(N) == _brute_power_sums(N)
+
     def test_makes_no_quadrature_call(self, no_quadrature):
         ctx = PrecisionContext.from_digits(30)
         for N in range(1, sinc_identity.EXPANSION_LIMIT + 1):
@@ -235,12 +254,25 @@ class TestClosedFormIntegral:
         with mp.workprec(ctx.bits + 16):
             assert abs(panels - mpmath.pi * r.numerator / r.denominator) < eps
 
+    def test_oracles_agree_at_seventeen(self):
+        # N = 17 was past the closed form until the power sums; both numeric
+        # routes still answer there and check it
+        ctx = PrecisionContext.from_digits(30)
+        eps = mpf(10) ** -10
+        r = sinc_identity.sinc_integral_ratio(17)
+        panels = sinc_identity._panel_integral(17, eps, ctx)
+        direct = sinc_identity._direct_sum(17, eps, ctx)
+        with mp.workprec(ctx.bits + 16):
+            exact = mpmath.pi * r.numerator / r.denominator
+            assert abs(panels - exact) < eps
+            assert abs(direct - exact) < eps
+
     def test_panel_route_refuses_past_its_cap(self, no_quadrature):
         ctx = PrecisionContext.from_digits(45)
         start = time.monotonic()
         for eps in (mpf(10) ** -43, mpf(10) ** -10000):
             with pytest.raises(ConvergenceError, match="panels"):
-                sinc_identity.sinc_integral(17, eps, ctx)
+                sinc_identity.sinc_integral(sinc_identity.EXPANSION_LIMIT + 1, eps, ctx)
         assert time.monotonic() - start < 0.5
 
 
