@@ -15,8 +15,8 @@ vs. asymptotic), which the test suite exploits as cross-checks:
 * K0(t) switches between the ascending series (small t, cancellation
   absorbed by extra working bits) and the divergent asymptotic series
   truncated at its smallest term (large t); the always-valid integral
-  representation  K0(t) = int_0^inf exp(-t cosh u) du  serves as the
-  arbiter between the two routes.  The ascending series sums on fixed-point
+  representation  K0(t) = e^{-t} int_0^inf exp(-2t sinh^2(u/2)) du  serves
+  as the arbiter between the two routes.  The ascending series sums on fixed-point
   integers (a few guard bits past the working precision) and takes gamma
   from one build per precision, rounded to each call's working precision.
 

@@ -10,14 +10,15 @@ Levels halve the trapezoid step; level m reuses every evaluation from level
 m-1 (only odd multiples of the new step are fresh nodes).  Each map has one
 node table per working precision and level, built by one builder and read
 by one sweep; the only map-specific step is where a node lands.  Finite
-nodes are stored as distances from the nearer endpoint, so an integrand
-like x^(-1/2) on (0, b) receives arguments accurate to full working
-precision arbitrarily close to its singularity; the interval's centre and
-half-width are formed at that working precision too.  A semi-infinite
-node x = e^a is built whole, once: its abscissae are mpfs that carry
-ln x = +-a, the map's own exponent, and its weights carry their
-logarithms, so neither the certificate's skip test nor a log-space
-integrand takes a logarithm per node and call.
+nodes are stored as distances d from the nearer endpoint, and a + d and
+b - d are formed exactly, unrounded, so an integrand like (x - a)^(-1/2)
+on (a, b) receives arguments whose distance from a is exact however close
+to its singularity; the interval's centre and half-width are formed at
+the working precision.  A semi-infinite node x = e^a is built whole,
+once: its abscissae are mpfs that carry ln x = +-a, the map's own
+exponent, and its weights carry their logarithms, so neither the
+certificate's skip test nor a log-space integrand takes a logarithm per
+node and call; a shift to a nonzero start is exact too.
 Tails of each trapezoid sum are cut adaptively: a sweep stops once several
 consecutive node pairs contribute below the tolerance, which is what makes
 endpoint singularities converge at the same rate as smooth integrands.
@@ -259,12 +260,12 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
 
         def place(x, w, log_w, j):
             """An exp-sinh node (x, w, ln w) with the map moved by x -> 2^j x,
-            exact in x and w, then shifted by a."""
+            exact in x and w, then shifted exactly by a."""
             if j:
                 shift = j * ln2
                 x = _LogAbscissa(mpmath.ldexp(x, j), x.ln + shift)
                 w, log_w = mpmath.ldexp(w, j), log_w + shift
-            return (a + x if a else x), w, log_w
+            return (mpmath.fadd(a, x, exact=True) if a else x), w, log_w
 
         def scout(j, pairs, known=()):
             """The level-0 exp-sinh centre and its first `pairs` node pairs
@@ -317,7 +318,8 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                 else:
                     d, w = node
                     offset, weight = d * hw, w * hw
-                    contrib = evaluate(b - offset, weight, None) + evaluate(a + offset, weight, None)
+                    contrib = (evaluate(mpmath.fsub(b, offset, exact=True), weight, None)
+                               + evaluate(mpmath.fadd(a, offset, exact=True), weight, None))
                 part += contrib
                 # Tail cut: several consecutive negligible contributions, but
                 # never before t = index*h reaches past the weight hump at ~1.

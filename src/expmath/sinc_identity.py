@@ -16,14 +16,15 @@ cosines or sines at those frequencies, whose Fourier series sum_n
 cos(n*theta)/n^s resp. sin(n*theta)/n^s are Bernoulli polynomials, so the
 sum is a polynomial in 2*pi with rational coefficients.  Integral side:
 Borwein's sign sum gives r*pi with r rational, 1/2 for N <= 6 and exactly
-below that at N = 7.
+below that at N = 7.  One evaluation in 2*pi rounds both (`_in_two_pi`).
 
 The Bernoulli form holds while sum_k 1/(2k+1) < 2 pi (N <= 40248); the
-limit of 20 is set by cost (about 0.1 s a side at N = 20).  Beyond, the sum
-is summed directly under the rigorous tail bound D/(N n^N), D = (2N+1)!!,
-and the integral by panelled tanh-sinh quadrature on [0, T] under the
-envelope tail bound D/(N T^N), refused when its work, panels x (N+1)
-factors x working bits, passes _PANEL_CAP.  Both check the power sums.
+limit of 20 is set by cost (about 0.1 s for the power sums at N = 20).
+Beyond, the sum is summed directly to n = x and the integral by panelled
+tanh-sinh quadrature on [0, T = x], where the tail bound D/(N x^N),
+D = (2N+1)!!, falls to eps/2 (`_tail_reach`; rigorous for the sum, the
+envelope for the integral).  The integral is refused when its work, panels
+x (N+1) factors x working bits, passes _PANEL_CAP.  Both check the power sums.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
@@ -134,7 +136,8 @@ def _frac_to_mpf(fr: Fraction) -> mpf:
     return mpf(fr.numerator) / fr.denominator
 
 
-def _power_sums(N: int) -> tuple[int, list[int], list[int]]:
+@lru_cache(maxsize=64)
+def _power_sums(N: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(P, U, S): P = prod_{k=0}^{N} (2k+1), and for k = 0..N+1 the sums
     U_k = sum eps B^k and S_k = sum eps sgn(B) B^k over the sign patterns
     gamma in {+-1}^(N+1) with gamma_0 = +1, B = sum_j gamma_j P/(2j+1) and
@@ -160,7 +163,7 @@ def _power_sums(N: int) -> tuple[int, list[int], list[int]]:
                 e *= B
         elif i < N and B < rest[i]:
             stack += ((i + 1, B + ws[i], e), (i + 1, B - ws[i], -e))
-    return P, U, [u - 2 * n for u, n in zip(U, neg)]
+    return P, tuple(U), tuple(u - 2 * n for u, n in zip(U, neg))
 
 
 def _sum_coefficients(N: int) -> list[Fraction]:
@@ -182,46 +185,47 @@ def _sum_coefficients(N: int) -> list[Fraction]:
             for j in range(s + 1)]
 
 
+def _in_two_pi(coeffs, ctx: PrecisionContext) -> BigReal:
+    """sum_j c_j (2 pi)^j for exact rationals c_j by Horner's rule, 96 bits past
+    ctx.bits: roundoff far below any eps, and equal bits for equal polynomials."""
+    with mp.workprec(ctx.bits + 96):
+        acc, two_pi = mpf(0), 2 * mpmath.pi
+        for c in reversed(coeffs):
+            acc = acc * two_pi + _frac_to_mpf(c)
+    return make_real(acc, ctx)
+
+
 def sinc_sum(N: int, eps, ctx: PrecisionContext) -> BigReal:
     """1/2 + sum_{n>=1} prod_{k=0}^{N} sinc(n/(2k+1)).
 
-    For N <= EXPANSION_LIMIT the sum is the exact polynomial in 2 pi that
-    `_sum_coefficients` builds from `_power_sums`, evaluated by Horner's
-    rule at ctx.bits + 96 bits (the only error is roundoff, far below any
-    admissible eps); beyond that, by direct summation truncated under the
-    D/(N n^N) tail bound.
+    For N <= EXPANSION_LIMIT the exact polynomial in 2 pi of
+    `_sum_coefficients`, its 1/2 folded into q_0, evaluated by `_in_two_pi`;
+    beyond that, direct summation truncated under the D/(N n^N) tail bound.
     """
     if N < 1:
         raise DomainError("N must be at least 1")
     if not mpf(eps) > 0:  # a sign, which no working precision changes
         raise ValueError("eps must be positive")
     if N <= EXPANSION_LIMIT:
-        coeffs = _sum_coefficients(N)
-        with mp.workprec(ctx.bits + 96):
-            two_pi = 2 * mpmath.pi
-            acc = mpf(0)
-            for q in reversed(coeffs):
-                acc = acc * two_pi + _frac_to_mpf(q)
-            total = +(mpf(1) / 2 + acc)
-        return make_real(total, ctx)
+        q = _sum_coefficients(N)
+        return _in_two_pi([q[0] + Fraction(1, 2), *q[1:]], ctx)
     return make_real(_direct_sum(N, eps, ctx), ctx)
 
 
-def _direct_terms_needed(N: int, eps_tail: float) -> int:
-    D = _odd_double_factorial(N)
-    # tail past M: sum_{n>M} D/n^{N+1} < D/(N*M^N)
-    log_m = (math.log10(D) - math.log10(N) - math.log10(eps_tail)) / N
-    return int(math.ceil(10 ** log_m)) + 2
+def _tail_reach(N: int, eps: mpf) -> float:
+    """log10 of the x where D/(N x^N), D = (2N+1)!!, falls to eps/2: the direct
+    sum's last term (sum_{n>x} D/n^(N+1) < D/(N x^N)), the panels' end T."""
+    return float(mpmath.log10(2 * _odd_double_factorial(N) / (N * eps))) / N
 
 
 def _direct_sum(N: int, eps, ctx: PrecisionContext):
     with mp.workprec(ctx.bits + 48):
         eps_v = mpf(eps)
-        M = _direct_terms_needed(N, float(eps_v) / 2)
+        log_m = _tail_reach(N, eps_v)
+        M = math.ceil(10 ** min(log_m, 18)) + 2  # 10^18 is far past the cap
         if M > _DIRECT_TERM_CAP:
-            raise ConvergenceError(
-                f"direct summation would need {M} terms for N={N} at eps={mpmath.nstr(eps_v, 3)}"
-            )
+            raise ConvergenceError(f"direct summation for N={N} at eps={mpmath.nstr(eps_v, 3)} "
+                                   f"would need ~10^{log_m:.1f} terms")
         recip = [mpf(1) / (2 * k + 1) for k in range(N + 1)]
         total = mpf(1) / 2
         for n in range(1, M + 1):
@@ -252,19 +256,18 @@ def sinc_integral_ratio(N: int) -> Fraction:
 def sinc_integral(N: int, eps, ctx: PrecisionContext) -> BigReal:
     """int_0^inf prod_{k=0}^{N} sinc(x/(2k+1)) dx to within eps.
 
-    For N <= EXPANSION_LIMIT this is sinc_integral_ratio(N) * pi, rounded
-    at ctx.bits + 32 bits; beyond, the panelled quadrature of
-    `_panel_integral`.
+    For N <= EXPANSION_LIMIT this is sinc_integral_ratio(N) * pi, that is
+    (r/2) (2 pi), evaluated by `_in_two_pi` like the sum side; beyond, the
+    panelled quadrature of `_panel_integral`.
     """
     if N < 1:
         raise DomainError("N must be at least 1")
+    if not mpf(eps) > 0:
+        raise ValueError("eps must be positive")
+    if N <= EXPANSION_LIMIT:
+        return _in_two_pi([0, sinc_integral_ratio(N) / 2], ctx)
     with mp.workprec(ctx.bits + 32):
         eps_v = mpf(eps)
-        if not eps_v > 0:
-            raise ValueError("eps must be positive")
-        if N <= EXPANSION_LIMIT:
-            r = sinc_integral_ratio(N)
-            return make_real(+(mpmath.pi * r.numerator / r.denominator), ctx)
     return make_real(_panel_integral(N, eps_v, ctx), ctx)
 
 
@@ -274,10 +277,9 @@ def _panel_integral(N: int, eps_v: mpf, ctx: PrecisionContext) -> mpf:
     N, so it checks the closed form too.  Work past _PANEL_CAP (panels x
     (N+1) factors x ctx.bits) raises ConvergenceError before any quadrature.
     """
-    D = _odd_double_factorial(N)
-    log_t = (math.log10(2 * D) - math.log10(N) - float(mpmath.log10(eps_v))) / N
+    log_t = _tail_reach(N, eps_v)
     panel_len = 3
-    T = int(math.ceil(10 ** min(log_t, 18))) + 1  # 10^18 is far past the cap
+    T = math.ceil(10 ** min(log_t, 18)) + 1  # 10^18 is far past the cap
     n_panels = (T + panel_len - 1) // panel_len
     if n_panels * (N + 1) * ctx.bits > _PANEL_CAP:
         raise ConvergenceError(
@@ -315,7 +317,7 @@ def identity_report(N: int, eps, ctx: PrecisionContext) -> SincIdentityReport:
     with mp.workprec(ctx.bits + 16):
         diff = +(lhs.value - rhs.value)
         rounding = mpmath.ldexp(max(1, abs(lhs.value)), -(ctx.bits - 8))
-        # the closed-form sum carries no eps; the integral side still does
+        # past EXPANSION_LIMIT, eps per numeric side; up to it, one eps of slack
         bound = +((1 if N <= EXPANSION_LIMIT else 2) * mpf(eps) + rounding)
     return SincIdentityReport(
         N=N,
@@ -346,12 +348,12 @@ def threshold_scan(threshold, ctx: PrecisionContext) -> int:
     exact = thr if isinstance(thr, Fraction) else Fraction(*_to_ratio(thr))
     with mp.workprec(64):
         t = _frac_to_mpf(exact)
-        n_bits = int((2 * t - _GAMMA_ESTIMATE - mpmath.ln(4)) / mpmath.ln(2)) + 2
+        n_bits = mpmath.floor((2 * t - _GAMMA_ESTIMATE - mpmath.ln(4)) / mpmath.ln(2)) + 2
     if n_bits + 64 > _SCAN_PREC_CAP:
         raise ConvergenceError(f"threshold {mpmath.nstr(t, 8)} is out of reach: its crossing index "
-                               f"has ~{n_bits} bits, and locating it needs {n_bits + 64} > "
-                               f"{_SCAN_PREC_CAP} bits")
-    wp = ctx.bits + 48 + n_bits + 16
+                               f"has ~{mpmath.nstr(n_bits, 3)} bits, and locating it needs 64 more "
+                               f"than that, past the cap of {_SCAN_PREC_CAP} bits")
+    wp = ctx.bits + 48 + int(n_bits) + 16
     for prec in (wp, 2 * wp):
         with mp.workprec(prec):
             t = _frac_to_mpf(exact)

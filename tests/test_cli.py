@@ -151,6 +151,14 @@ class TestThreshold:
         assert captured.err.startswith("error:") and "out of reach" in captured.err
         assert captured.out == ""
 
+    def test_out_of_reach_message_is_short(self, capsys):
+        # the crossing index's bit estimate, ~2.89e+400, to 3 digits rather
+        # than as a 400-digit integer
+        assert run(["threshold", "--threshold", "1e400"]) == 1
+        err = capsys.readouterr().err
+        assert "out of reach" in err and "~2.89e+400 bits" in err
+        assert len(err) < 200
+
 
 class TestBb:
     def test_beats_baseline_on_skewed_quadratic(self, capsys):
@@ -609,12 +617,12 @@ GOLDEN_STDOUT = [
         'N = 1\n'
         'lhs = 1.57079632679\n'
         'rhs = 1.57079632679\n'
-        'difference = -5.05e-52\n'
+        'difference = 0\n'
         'truncation_bound = 1.00e-15\n'
     ),
     (
         'sinc --N 1 --digits 12 --format json',
-        '{"N":1,"difference":"-5.05e-52","lhs":"1.57079632679"'
+        '{"N":1,"difference":"0","lhs":"1.57079632679"'
         ',"rhs":"1.57079632679","truncation_bound":"1.00e-15"}\n'
     ),
     (
@@ -622,12 +630,12 @@ GOLDEN_STDOUT = [
         'N,1\n'
         'lhs,1.57079632679\n'
         'rhs,1.57079632679\n'
-        'difference,-5.05e-52\n'
+        'difference,0\n'
         'truncation_bound,1.00e-15\n'
     ),
     (
         'sinc --N 12 --digits 30 --format json',
-        '{"N":12,"difference":"2.35e-57","lhs":"1.57079489608299805769812515681"'
+        '{"N":12,"difference":"0","lhs":"1.57079489608299805769812515681"'
         ',"rhs":"1.57079489608299805769812515681","truncation_bound":"1.00e-33"}\n'
     ),
     ('threshold --threshold 4/3 --format text', '2\n'),

@@ -82,6 +82,20 @@ class TestFiniteIntervals:
         with mp.workprec(ctx.bits + 16):
             _check(r, exact(), mpf(10) ** -tol)
 
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: 1 / mpmath.sqrt(x - 1), lambda x: 1 / mpmath.sqrt(2 - x)],
+        ids=["at-a", "at-b"],
+    )
+    def test_singularity_at_a_nonzero_endpoint(self, f):
+        # both integrals are exactly 2; the nodes nearest the singular
+        # endpoint lie far inside its ulp, so only an exact a + d or b - d
+        # keeps them off the endpoint itself
+        ctx = PrecisionContext.from_digits(30)
+        r = quadrature.integrate_finite(f, 1, 2, mpf(10) ** -25, ctx)
+        with mp.workprec(ctx.bits + 16):
+            _check(r, mpf(2), mpf(10) ** -25)
+
     def test_precision_scales(self):
         ctx_lo = PrecisionContext.from_digits(25)
         ctx_hi = PrecisionContext.from_digits(80)
@@ -144,6 +158,16 @@ class TestSemiInfinite:
         )
         with mp.workprec(ctx.bits + 16):
             _check(r, mpf(1), mpf(10) ** -28)
+
+    def test_singularity_at_a_nonzero_start(self):
+        # integral of e^-(x-1) / sqrt(x-1) over (1, inf) is sqrt(pi); the
+        # shift 1 + x is exact, so no node rounds onto x = 1
+        ctx = PrecisionContext.from_digits(30)
+        r = quadrature.integrate_semi_infinite(
+            lambda x: mpmath.exp(-(x - 1)) / mpmath.sqrt(x - 1), 1, mpf(10) ** -25, ctx
+        )
+        with mp.workprec(ctx.bits + 16):
+            _check(r, mpmath.sqrt(mpmath.pi), mpf(10) ** -25)
 
     def test_algebraic_times_exponential(self):
         # integral of x e^(-x) over (0, inf) is Gamma(2) = 1

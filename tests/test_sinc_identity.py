@@ -131,6 +131,15 @@ class TestRoutes:
         with pytest.raises(ConvergenceError):
             sinc_identity._direct_sum(3, mpf(10) ** -25, ctx)
 
+    def test_eps_below_the_float_range_is_refused_at_once(self):
+        # 1e-400 is 0 as a float; the tail reach is taken in mpmath, so the
+        # direct route sees its ~10^20 terms and refuses them
+        ctx = PrecisionContext.from_digits(30)
+        start = time.monotonic()
+        with pytest.raises(ConvergenceError, match="direct summation"):
+            sinc_identity.sinc_sum(sinc_identity.EXPANSION_LIMIT + 1, mpf("1e-400"), ctx)
+        assert time.monotonic() - start < 0.1
+
     @pytest.mark.parametrize("N", [3, sinc_identity.EXPANSION_LIMIT + 1])
     @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
     def test_nonpositive_eps_is_refused_on_both_sides(self, N, eps):
@@ -184,7 +193,7 @@ def _brute_power_sums(N):
         for k in range(N + 2):
             U[k] += e * B**k
             S[k] += e * sign * B**k
-    return P, U, S
+    return P, tuple(U), tuple(S)
 
 
 @pytest.fixture
@@ -307,6 +316,19 @@ class TestReports:
         rep = sinc_identity.identity_report(2, mpf(10) ** -26, ctx)
         with mp.workprec(ctx.bits + 16):
             assert abs(rep.difference.value - (rep.lhs.value - rep.rhs.value)) < mpf(10) ** -27
+
+    @pytest.mark.parametrize("N", range(1, sinc_identity.EXPANSION_LIMIT + 1))
+    def test_closed_form_difference_is_exactly_zero(self, N):
+        # the identity holds in Q[pi] through the expansion limit, and both
+        # sides round the same polynomial in 2 pi once, so no roundoff is left
+        rep = sinc_identity.identity_report(N, mpf(10) ** -26, PrecisionContext.from_digits(30))
+        assert rep.lhs.value._mpf_ == rep.rhs.value._mpf_
+        assert rep.difference.value == 0
+
+    def test_report_builds_the_power_sums_once(self):
+        sinc_identity._power_sums.cache_clear()
+        sinc_identity.identity_report(20, mpf(10) ** -26, PrecisionContext.from_digits(30))
+        assert sinc_identity._power_sums.cache_info().misses == 1
 
 
 class TestThresholdScan:
