@@ -115,12 +115,6 @@ def digits(constant: str, base: int, count: int, ctx: PrecisionContext) -> Digit
             f"{count} base-{base} digits need a context of >= {need} bits, got {ctx.bits}"
         )
 
-    if constant.startswith("champernowne-") and constant.split("-", 1)[1] == str(base):
-        # same-base request: read the digits straight off the construction
-        return DigitStream(
-            constant=constant, base=base, digits=tuple(_champernowne_digits(base, count))
-        )
-
     p, q = _constant_fraction(constant, need)
     if p < 0:
         raise DomainError("digit extraction expects a nonnegative constant")

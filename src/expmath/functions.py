@@ -265,7 +265,9 @@ def bessel_k0_integral(t, ctx: PrecisionContext) -> BigReal:
 
     Slower than the series/asymptotic routes but valid for every t > 0;
     used to referee between them.  The integral is about sqrt(pi/(2t)) for
-    large t and never small, so its absolute eps is a relative one.
+    large t and never small, so its absolute eps is a relative one.  Raises
+    ConvergenceError when the quadrature does not converge, as it does not
+    at t = 1e-100 and 15 digits.
     """
     from . import quadrature  # local import keeps the dependency one-way
 
@@ -281,6 +283,8 @@ def bessel_k0_integral(t, ctx: PrecisionContext) -> BigReal:
     res = quadrature.integrate_semi_infinite(
         lambda u: mpmath.exp(log_f(u)), 0, eps, work,
         tail_bound=quadrature.DecayCertificate(beyond=2.0, log_bound=log_f))
+    if not res.converged:
+        raise ConvergenceError(f"the K0({mpmath.nstr(tv, 8)}) quadrature did not converge")
     with mp.workprec(work.bits):
         return make_real(mpmath.exp(-tv) * res.value.value, ctx)
 

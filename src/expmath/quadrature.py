@@ -9,7 +9,8 @@ companion map x = a + exp((pi/2) sinh t) over the whole real t-line.
 Levels halve the trapezoid step; level m reuses every evaluation from level
 m-1 (only odd multiples of the new step are fresh nodes).  Each map has one
 node table per working precision and level, built by one builder and read
-by one sweep; the only map-specific step is where a node lands.  Finite
+by one sweep; the only map-specific step is where a node lands.  The 128
+most recently read tables are kept across integrals.  Finite
 nodes are stored as distances d from the nearer endpoint, and a + d and
 b - d are formed exactly, unrounded, so an integrand like (x - a)^(-1/2)
 on (a, b) receives arguments whose distance from a is exact however close
@@ -34,9 +35,10 @@ After each level m >= 1 the sweep estimates the error of its sum T_m.  With
 d_m = |T_m - T_{m-1}| and scale = max(1, |T_m|), the estimate E_m is the
 largest of three terms (after Bailey, Jeyabalan and Li, Experimental Math.
 14 (2005) 317):
-- a rate term: RATE_SCALE * (d_m/scale)^RATE_ORDER * scale while d_m falls
+- a rate term: RATE_SCALE * (d_m/|T_m|)^RATE_ORDER * |T_m| while d_m falls
   below d_{m-1}, since each level about squares the relative error, and
-  d_m itself otherwise;
+  d_m itself otherwise or when T_m = 0; relative to |T_m| itself, so an
+  integral far below 1 does not stop on an absolute estimate;
 - the tail-cut floor eps * scale / 16, the bound on each node pair the
   quiet-tail cut leaves out;
 - a roundoff term 2^-(prec-10) * scale * (m + 1).
@@ -54,6 +56,7 @@ reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Optional
 
@@ -76,7 +79,7 @@ DEFAULT_MAX_LEVEL = 12
 #: mass before it refuses; each moves x by up to the level-0 table's reach.
 _MAX_MOVES = 64
 
-#: The error estimate's rate term, RATE_SCALE * (d/scale)^RATE_ORDER * scale
+#: The error estimate's rate term, RATE_SCALE * (d/|T|)^RATE_ORDER * |T|
 #: for a level difference d below the one before it.  The sum about squares
 #: its relative error per level; order 1.5 leaves room for the levels where
 #: it does not.  Measured on c_n for n = 1..4 and the 16 n of
@@ -89,10 +92,14 @@ _MAX_MOVES = 64
 RATE_ORDER = 1.5
 RATE_SCALE = 1
 
-#: Node tables keyed by (map kind, working precision, level), shared across
-#: integrals.  A table grows only as far as some sweep has read it.  Entries
-#: are pure functions of the key, so the cache is observationally stateless.
-_NODE_CACHE: dict = {}
+
+@lru_cache(maxsize=128)
+def _table(kind: str, prec: int, level: int) -> list:
+    """The (map kind, working precision, level) node table, shared across
+    integrals and grown by `_nodes` only as far as some sweep has read it.
+    Entries are pure functions of the key, so an evicted table is rebuilt
+    bit for bit."""
+    return []
 
 
 class _LogAbscissa(mpf):
@@ -161,7 +168,7 @@ def _nodes(kind: str, prec: int, level: int):
       test reads.
     A table ends at None, once its nodes are past any resolvable tail.
     """
-    table = _NODE_CACHE.setdefault((kind, prec, level), [])
+    table = _table(kind, prec, level)
     index = 0
     while True:
         if index == len(table):
@@ -334,8 +341,8 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             scale_est = max(mpf(1), abs(total))
             if prev is not None:
                 diff = abs(total - prev)
-                if diffs and diff < diffs[-1]:
-                    rate = RATE_SCALE * (diff / scale_est) ** RATE_ORDER * scale_est
+                if diffs and diff < diffs[-1] and total:
+                    rate = RATE_SCALE * (diff / abs(total)) ** RATE_ORDER * abs(total)
                 else:
                     rate = diff
                 diffs.append(diff)

@@ -86,46 +86,10 @@ def sinc(x, ctx: PrecisionContext) -> BigReal:
     return make_real(v, ctx)
 
 
-def _tangent_numbers(n: int) -> list[int]:
-    """[0, T_1, ..., T_{n-1}]: Brent & Harvey, "Fast computation of Bernoulli,
-    Tangent and Secant numbers" (2011), Algorithm TangentNumbers."""
-    t = [0, 1] + [0] * (n - 2)
-    for k in range(2, n):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n):
-        for j in range(k, n):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
-
-
-#: B_0, B_2, B_4, ... as far as any caller has needed them.
-_EVEN_BERNOULLI: tuple[Fraction, ...] = (Fraction(1),)
-
-
-def _even_bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
-    """At least B_0, B_2, ..., B_{2n-2}, with B_{2k} = (-1)^(k-1) 2k T_k /
-    (2^(2k) (2^(2k) - 1)).  A short table is rebuilt at no less than twice
-    its length, so callers asking for one more each time cost at most twice
-    the largest build."""
-    global _EVEN_BERNOULLI
-    table = _EVEN_BERNOULLI
-    if len(table) < n:
-        n = max(n, 2 * len(table))
-        t = _tangent_numbers(n)
-        table = (Fraction(1),) + tuple(
-            Fraction((-1) ** (k - 1) * 2 * k * t[k], (1 << 2 * k) * ((1 << 2 * k) - 1))
-            for k in range(1, n)
-        )
-        _EVEN_BERNOULLI = table
-    return table
-
-
+@lru_cache(maxsize=1024)
 def _bernoulli_number(m: int) -> Fraction:
-    if m == 1:
-        return Fraction(-1, 2)
-    if m % 2:
-        return Fraction(0)
-    return _even_bernoulli_numbers(m // 2 + 1)[m // 2]
+    """B_m exactly (B_1 = -1/2), from mpmath's `bernfrac`."""
+    return Fraction(*mpmath.bernfrac(m))
 
 
 def _odd_double_factorial(N: int) -> int:
@@ -393,13 +357,6 @@ def _odd_sum(N: int, wp: int):
     5m + 16 ulps of ln(2N+1) + 1.
     """
     gamma = functions._euler_gamma_raw(wp)
-    # Term k is below 5 (2k-1)! / (2 pi N)^(2k) (|B_2k| <= 2 zeta(2) (2k)! /
-    # (2 pi)^(2k)), so the first k that takes this under 2^-wp bounds the
-    # Bernoulli numbers the loop reads: built once, at about the size needed.
-    k, log_2pi_n = 1, math.log(2 * math.pi) + math.log(N)
-    while math.log(5) + math.lgamma(2 * k) - 2 * k * log_2pi_n >= -wp * math.log(2):
-        k += 1
-    _even_bernoulli_numbers(k + 1)
     with mp.workprec(wp):
         a, b = mpf(2 * N + 1), mpf(N)
         ln_a = mpmath.ln(a)

@@ -779,9 +779,9 @@ class TestGoldenBytes:
             ("walk --digits 40 --size 16 --image-format ppm",
              "e77af3dcd9f82a747bfb710b6fc6b20737166a028716eb1ff95757e7762175ad"),
             ("cn --n 1..24 --digits 12 --format csv",
-             "a702d7e9c1e7b7250bf8597bf4d889d2a08b40d37de9c0df04be4e955e483463"),
+             "93a64e58d54e06423aa9f8b3389c513361d43aac3656b3379ed509864250eba5"),
             ("cn --n 1..24 --digits 30 --format csv",
-             "f0b90791571ff1cd21b389725310c3756e35ed3877f055e9c5bacef6fa8c8c75"),
+             "00aded6302a59ba519cb3df34dec0146b6e65de584063b54bc95e08dcac3cb8c"),
         ],
     )
     def test_output_sha256(self, argv, sha256, capsysbinary):
@@ -907,3 +907,23 @@ class TestImportHygiene:
         assert all(star[name] is getattr(expmath, name) for name in expmath.__all__)
         with pytest.raises(AttributeError, match="no_such_name"):
             expmath.no_such_name
+
+
+class TestMemoPolicy:
+    def test_every_memo_is_bounded(self):
+        # a memo that lives across calls is a functools.lru_cache with a
+        # finite maxsize, reset only through cache_clear(); the only
+        # module-level containers are constant tables, not memos
+        memos, containers = set(), set()
+        for module_name in expmath._EXPORTS:
+            module = importlib.import_module(f"expmath.{module_name}")
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__:
+                    memos.add(name)
+                    assert isinstance(value.cache_info().maxsize, int), f"{module_name}.{name}"
+                elif isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                    containers.add(f"{module_name}.{name}")
+        assert {"_table", "_bernoulli_number", "_power_sums", "_log_k0_cached"} <= memos
+        assert containers == {
+            "barzilai_borwein.PROBLEMS", "relations._BASIS_FACTORIES", "cli._BB_DEFAULT_STARTS",
+        }

@@ -46,6 +46,15 @@ class TestDigits:
         s = digit_walks.digits("champernowne-10", 10, 15, _ctx())
         assert s.digits == (1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 0, 1, 1, 1, 2)
 
+    @pytest.mark.parametrize("base", [2, 7, 16, 36])
+    def test_concatenation_constant_same_base_is_the_construction(self, base):
+        # the exact fraction's expansion in its own base reads the
+        # concatenated integers back
+        count = 2000
+        ctx = PrecisionContext(math.ceil(count * math.log2(base)) + 64, 30)
+        s = digit_walks.digits(f"champernowne-{base}", base, count, ctx)
+        assert list(s.digits) == digit_walks._champernowne_digits(base, count)
+
     def test_concatenation_constant_cross_base(self):
         # binary 0.1 10 11 100 101 ... regrouped as bit pairs gives the
         # base-4 expansion 3,1,3,0,2,3,2,3,3,0 (hand-derived)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from expmath import functions
+from expmath import functions, quadrature
 from expmath.precision import (
     ConvergenceError,
     DomainError,
@@ -117,6 +117,18 @@ class TestBesselK0:
         direct = functions.bessel_k0(t, ctx)
         with mp.workprec(ctx.bits + 64):
             assert abs(via_integral.value - direct.value) <= abs(direct.value) * mpf(10) ** -digits
+
+    def test_integral_route_refuses_an_unconverged_quadrature(self, monkeypatch):
+        # two refinement levels cannot reach 10^-44 at t = 1; the route must
+        # say so rather than return the unconverged sum
+        real = quadrature.integrate_semi_infinite
+
+        def two_levels(*args, **kwargs):
+            return real(*args, **{**kwargs, "max_level": 2})
+
+        monkeypatch.setattr(quadrature, "integrate_semi_infinite", two_levels)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            functions.bessel_k0_integral(1, PrecisionContext.from_digits(40))
 
     @pytest.mark.parametrize("t_text", ["0.05", "0.7", "2", "11", "37", "150"])
     def test_matches_library_bessel(self, t_text):

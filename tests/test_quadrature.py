@@ -341,6 +341,25 @@ class TestErrorEstimateContract:
         with mp.workprec(ctx.bits + 64):
             self._check_bound(r, 1 / mpf(c))
 
+    def test_integral_far_below_one_is_bounded_relative_to_itself(self):
+        # the N = 21 sinc product on the panel [72, 75], about -1.45e-19, at
+        # the context and panel eps of `sinc --N 21 --digits 25` (eps 1e-28
+        # over 4 x 121 panels): a rate term scaled by max(1, |T_m|) stopped
+        # it early, 1.2e-25 off under an estimate of 1.6e-31
+        ctx = PrecisionContext.from_digits(30)
+        with mp.workprec(64):
+            eps = mpf(10) ** -28 / (4 * 121)
+
+        def product(x):
+            return mpmath.fprod(mpmath.sinc(x / (2 * k + 1)) for k in range(22))
+
+        r = quadrature.integrate_finite(product, 72, 75, eps, ctx)
+        with mp.workdps(50):
+            exact = mpmath.quad(product, [72, 75])
+        assert r.converged
+        with mp.workprec(ctx.bits + 64):
+            assert abs(r.value.value - exact) <= r.error_estimate.value
+
 
 class TestRefinementBehaviour:
     @pytest.mark.parametrize(
@@ -516,17 +535,17 @@ class TestDecayCertificate:
         }
 
         def records():
-            # every field with the ln it carries, if any
+            # every field with the ln it carries, if any, of each table read
+            tables = {level: quadrature._table("es", prec, level)
+                      for level in range(quadrature.DEFAULT_MAX_LEVEL + 1)}
             return {
                 level: [node and tuple((v, getattr(v, "ln", None)) for v in node) for node in table]
-                for (kind, p, level), table in quadrature._NODE_CACHE.items()
-                if (kind, p) == ("es", prec)
+                for level, table in tables.items() if table
             }
 
         runs = []
         for order in (("bare", "certified"), ("certified", "bare")):
-            for key in [key for key in quadrature._NODE_CACHE if key[1] == prec]:
-                del quadrature._NODE_CACHE[key]
+            quadrature._table.cache_clear()
             steps = []
             for name in order:
                 r = sweeps[name]()

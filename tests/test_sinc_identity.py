@@ -481,10 +481,10 @@ class TestThresholdClosedForm:
         with pytest.raises(DomainError):
             sinc_identity.threshold_scan(mpmath.inf, ctx)
 
-    def test_high_precision_scan_from_cold_caches(self, monkeypatch):
+    def test_high_precision_scan_from_cold_caches(self):
         # At 1150 digits N = 4009 is near wp, where the Euler-Maclaurin
-        # bracket needs B_2..B_572; gamma and the Bernoulli table start empty
-        monkeypatch.setattr(sinc_identity, "_EVEN_BERNOULLI", (Fraction(1),))
+        # bracket needs B_2..B_572; the gamma and Bernoulli memos start empty
+        sinc_identity._bernoulli_number.cache_clear()
         functions._euler_gamma_raw.cache_clear()
         ctx = PrecisionContext.from_digits(1150)
         start = time.monotonic()
@@ -494,7 +494,7 @@ class TestThresholdClosedForm:
 
 
 class TestBernoulliNumbers:
-    def test_match_library(self, monkeypatch):
-        monkeypatch.setattr(sinc_identity, "_EVEN_BERNOULLI", (Fraction(1),))
+    def test_match_library(self):
+        sinc_identity._bernoulli_number.cache_clear()
         for m in range(201):
             assert sinc_identity._bernoulli_number(m) == Fraction(*map(int, mpmath.bernfrac(m))), m
