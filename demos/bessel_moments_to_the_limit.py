@@ -18,7 +18,7 @@ def main() -> None:
     eps = mpf(10) ** -30
 
     print("n        C_n (30 digits)                      error bound")
-    records = bessel_moments.monotonicity_scan(8, ctx, eps)
+    records = [bessel_moments.c_n(n, ctx, eps) for n in range(1, 9)]
     for rec in records:
         print(f"{rec.n:<8d} {rec.value.to_decimal(30):<36} {rec.error_estimate.to_decimal(2)}")
 
@@ -39,7 +39,8 @@ def main() -> None:
     print(f"recognition of C_4 digits: {matches[0].rendering}"
           f"  (coefficients {list(matches[0].coefficients)})")
 
-    matches = relations.recognize(limit, relations.default_basis(ctx), 35)
+    basis = relations.standard_basis(relations.DEFAULT_BASIS, ctx)
+    matches = relations.recognize(limit, basis, 35)
     print(f"recognition of the limit:  {matches[0].rendering}")
 
 

@@ -27,7 +27,7 @@ def main() -> None:
         print(f"  k={k}: F={fval:.3e}  |grad|={gnorm:.3e}  gamma={gamma:.6f}")
 
     spd = bb.random_spd(5, seed=23)
-    lo, hi = spd.eigenvalue_range()
+    lo, hi = np.linalg.eigvalsh(spd.matrix)[[0, -1]]
     run = bb.bb_minimize(spd, [2.0, -1.0, 0.5, 1.5, -2.0], tol=1e-9)
     gammas = [row[3] for row in run.trace[1:]]  # row 0 is the bootstrap step
     print(f"\nrandom SPD instance: eigenvalues in [{lo:.4f}, {hi:.4f}]")

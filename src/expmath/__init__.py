@@ -33,9 +33,9 @@ _EXPORTS = {
         "integrate_semi_infinite",
         "tanh_sinh_rule",
     ),
-    "bessel_moments": ("CnRecord", "c_n", "c_infinity", "monotonicity_scan"),
+    "bessel_moments": ("CnRecord", "c_n", "c_infinity"),
     "sinc_identity": ("SincIdentityReport", "sinc", "sinc_sum", "sinc_integral", "threshold_scan"),
-    "agm": ("PiResult", "agm2", "agm3", "gauss_legendre_pi", "archimedes_bounds"),
+    "agm": ("PiResult", "agm2", "agm3", "gauss_legendre_pi"),
     "barzilai_borwein": ("bb_step", "bb_minimize", "steepest_descent_baseline"),
     "relations": ("BasisConstant", "RecognitionMatch", "find_integer_relation", "recognize"),
     "digit_walks": ("DigitStream", "WalkPath", "digits", "walk", "render"),

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -63,8 +62,14 @@ class PiResult:
     per_iteration_error: tuple
 
 
-def _agm_states(a: mpf, b: mpf, prec: int, stop: mpf, cubic: bool):
+def agm_states(a, b, ctx: PrecisionContext, *, cubic: bool = False):
+    """The full iteration trajectory, for inspection and property tests."""
+    a, b = as_mpf(a, ctx), as_mpf(b, ctx)
+    if not (a > 0 and b > 0):
+        raise DomainError("AGM requires strictly positive starting values")
+    prec = ctx.bits + 16
     with mp.workprec(prec):
+        stop = mpf(10) ** (-(ctx.target_digits + 2))
         if a < b:
             a, b = b, a
         states = [AGMState(a=+a, b=+b, iteration=0)]
@@ -78,17 +83,7 @@ def _agm_states(a: mpf, b: mpf, prec: int, stop: mpf, cubic: bool):
             states.append(AGMState(a=+a, b=+b, iteration=it))
         else:
             raise ConvergenceError("AGM iteration failed to close its gap")
-    return states
-
-
-def agm_states(a, b, ctx: PrecisionContext, *, cubic: bool = False):
-    """The full iteration trajectory, for inspection and property tests."""
-    av, bv = as_mpf(a, ctx), as_mpf(b, ctx)
-    if not (av > 0 and bv > 0):
-        raise DomainError("AGM requires strictly positive starting values")
-    with mp.workprec(ctx.bits + 16):
-        stop = mpf(10) ** (-(ctx.target_digits + 2))
-    return tuple(_agm_states(av, bv, ctx.bits + 16, stop, cubic))
+    return tuple(states)
 
 
 def _limit(states, ctx: PrecisionContext) -> BigReal:
@@ -167,11 +162,6 @@ def gauss_legendre_pi(iterations: int, ctx: PrecisionContext) -> PiResult:
         iterations=iterations,
         per_iteration_error=tuple(BigReal(e, ref_bits) for e in errors),
     )
-
-
-def archimedes_bounds() -> tuple[Fraction, Fraction]:
-    """The classical rational bracket 223/71 < pi < 22/7."""
-    return (Fraction(223, 71), Fraction(22, 7))
 
 
 #: 640320^3 / 24, the Chudnovsky series' per-term denominator factor.

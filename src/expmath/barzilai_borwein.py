@@ -61,7 +61,6 @@ class ObjectiveFunction:
     dimension: int
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    name: str = "objective"
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def steepest_descent_baseline(
 class QuadraticObjective(ObjectiveFunction):
     """F(x) = 1/2 x'Ax - b'x with symmetric positive definite A."""
 
-    def __init__(self, A, b=None, name: str = "quadratic"):
+    def __init__(self, A, b=None):
         A = np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DomainError("A must be square")
@@ -299,20 +298,15 @@ class QuadraticObjective(ObjectiveFunction):
             dimension=n,
             evaluate=lambda x: value(x)[0],
             gradient=lambda x: A.dot(x) - bvec,
-            name=name,
         )
-
-    def eigenvalue_range(self):
-        vals = np.linalg.eigvalsh(self.matrix)
-        return float(vals[0]), float(vals[-1])
 
 
 def sphere(dimension: int = 2) -> QuadraticObjective:
-    return QuadraticObjective(np.eye(dimension), name="sphere")
+    return QuadraticObjective(np.eye(dimension))
 
 
 def diagonal_quadratic(diag: Sequence[float]) -> QuadraticObjective:
-    return QuadraticObjective(np.diag(np.asarray(diag, dtype=float)), name="diagonal")
+    return QuadraticObjective(np.diag(np.asarray(diag, dtype=float)))
 
 
 def random_spd(dimension: int, seed: int, condition: float = 100.0) -> QuadraticObjective:
@@ -322,10 +316,12 @@ def random_spd(dimension: int, seed: int, condition: float = 100.0) -> Quadratic
     eigs = np.logspace(0.0, np.log10(condition), dimension)
     A = (q * eigs) @ q.T
     A = 0.5 * (A + A.T)
-    return QuadraticObjective(A, name=f"random-spd-{seed}")
+    return QuadraticObjective(A)
 
 
-def rosenbrock(a: float = 1.0, b: float = 100.0) -> ObjectiveFunction:
+def rosenbrock() -> ObjectiveFunction:
+    a, b = 1.0, 100.0
+
     def evaluate(x):
         return float((a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2)
 
@@ -337,7 +333,7 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> ObjectiveFunction:
             ]
         )
 
-    return ObjectiveFunction(dimension=2, evaluate=evaluate, gradient=gradient, name="rosenbrock")
+    return ObjectiveFunction(dimension=2, evaluate=evaluate, gradient=gradient)
 
 
 PROBLEMS = {

@@ -112,13 +112,6 @@ def c_infinity(ctx: PrecisionContext) -> BigReal:
     return make_real(v, ctx)
 
 
-def monotonicity_scan(n_max: int, ctx: PrecisionContext, eps=None):
-    """CnRecords for n = 1..n_max, in order."""
-    if n_max < 2:
-        raise ValueError("a scan needs n_max >= 2")
-    return [c_n(n, ctx, eps) for n in range(1, n_max + 1)]
-
-
 def find_monotonicity_violations(records) -> list:
     """Adjacent pairs whose decrease is not resolved beyond combined error bars."""
     out = []

@@ -469,7 +469,7 @@ def _cmd_quad(args):
         reference = "sqrt(pi)/2"
     else:
         result = quadrature.integrate_semi_infinite(
-            lambda t: t * functions.bessel_k0(t, ctx).value if t > 0 else mpf(0), 0, eps, ctx
+            lambda t: t * functions.bessel_k0(t, ctx).value, 0, eps, ctx
         )
         reference = "1"
     return _fields(

@@ -35,7 +35,7 @@ After each level m >= 1 the sweep estimates the error of its sum T_m.  With
 d_m = |T_m - T_{m-1}| and scale = max(1, |T_m|), the estimate E_m is the
 largest of three terms (after Bailey, Jeyabalan and Li, Experimental Math.
 14 (2005) 317):
-- a rate term: RATE_SCALE * (d_m/|T_m|)^RATE_ORDER * |T_m| while d_m falls
+- a rate term: (d_m/|T_m|)^RATE_ORDER * |T_m| while d_m falls
   below d_{m-1}, since each level about squares the relative error, and
   d_m itself otherwise or when T_m = 0; relative to |T_m| itself, so an
   integral far below 1 does not stop on an absolute estimate;
@@ -73,24 +73,25 @@ from .precision import (
     make_real,
 )
 
+#: The deepest refinement level a sweep reaches before it reports
+#: converged=False.
 DEFAULT_MAX_LEVEL = 12
 
 #: Moves of the exp-sinh map a sweep may make looking for the integrand's
 #: mass before it refuses; each moves x by up to the level-0 table's reach.
 _MAX_MOVES = 64
 
-#: The error estimate's rate term, RATE_SCALE * (d/|T|)^RATE_ORDER * |T|
-#: for a level difference d below the one before it.  The sum about squares
-#: its relative error per level; order 1.5 leaves room for the levels where
-#: it does not.  Measured on c_n for n = 1..4 and the 16 n of
-#: perfbench/references.json (5..56) at (digits, eps) = (30, 1e-25),
-#: (45, 1e-40), (60, 1e-52), (30, 1e-15) and (35, 1e-33), 100 calls: with
-#: order 1.5 and scale 1 no error exceeded its estimate (worst ratio 0.48,
-#: C_5 at (30, 1e-15)) and none exceeded eps; scale 10 was as safe and cost
-#: 7% more evaluations.  Order 1.7 returned C_8 at (35, 1e-33) off by
-#: 6.45 eps, and order 2 returned 16 of the 100 off by more than eps.
+#: The error estimate's rate term, (d/|T|)^RATE_ORDER * |T| for a level
+#: difference d below the one before it.  The sum about squares its relative
+#: error per level; order 1.5 leaves room for the levels where it does not.
+#: Measured on c_n for n = 1..4 and the 16 n of perfbench/references.json
+#: (5..56) at (digits, eps) = (30, 1e-25), (45, 1e-40), (60, 1e-52),
+#: (30, 1e-15) and (35, 1e-33), 100 calls: with order 1.5 no error exceeded
+#: its estimate (worst ratio 0.48, C_5 at (30, 1e-15)) and none exceeded eps;
+#: ten times that term was as safe and cost 7% more evaluations.  Order 1.7
+#: returned C_8 at (35, 1e-33) off by 6.45 eps, and order 2 returned 16 of
+#: the 100 off by more than eps.
 RATE_ORDER = 1.5
-RATE_SCALE = 1
 
 
 @lru_cache(maxsize=128)
@@ -210,9 +211,9 @@ def _coerce(fv) -> mpf:
     raise IntegrandError(f"integrand returned non-real value of type {type(fv).__name__}")
 
 
-def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bound, max_level):
+def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bound):
     """Sweep the tanh-sinh table over (a, b), or the exp-sinh one over
-    (a, inf) when b is None."""
+    (a, inf) when b is None, through at most DEFAULT_MAX_LEVEL levels."""
     prec = ctx.bits + 16
     with mp.workprec(prec):
         eps = mpf(eps)
@@ -290,7 +291,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             # the move of the module docstring; x f is the mass per unit of
             # ln x, and level0 keeps the final scout's w f for level 0's sum
             _, level0 = scout(0, 2)
-            floor = log_term_floor + max_level * ln2
+            floor = log_term_floor + DEFAULT_MAX_LEVEL * ln2
             if all(mpmath.ln(abs(v)) < floor for v in level0):
                 known = level0
                 for _ in range(_MAX_MOVES):
@@ -311,7 +312,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
         diffs = []
         converged = False
         level = 0
-        for level in range(0, max_level + 1):
+        for level in range(0, DEFAULT_MAX_LEVEL + 1):
             h = mpf(2) ** (-level)
             # |contrib| * h < term_floor, exactly, since h is a power of two
             tail_floor = term_floor / h
@@ -342,7 +343,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             if prev is not None:
                 diff = abs(total - prev)
                 if diffs and diff < diffs[-1] and total:
-                    rate = RATE_SCALE * (diff / abs(total)) ** RATE_ORDER * abs(total)
+                    rate = (diff / abs(total)) ** RATE_ORDER * abs(total)
                 else:
                     rate = diff
                 diffs.append(diff)
@@ -365,27 +366,19 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
     )
 
 
-def integrate_finite(
-    f,
-    a,
-    b,
-    eps,
-    ctx: PrecisionContext,
-    *,
-    max_level: int = DEFAULT_MAX_LEVEL,
-) -> IntegralResult:
+def integrate_finite(f, a, b, eps, ctx: PrecisionContext) -> IntegralResult:
     """Integrate f over (a, b); f may blow up integrably at either endpoint.
 
     `f` receives and returns mpf values and is called at the context's
     working precision.  `eps` is the absolute tolerance (relative once the
-    value exceeds 1).  Non-convergence within `max_level` refinements is
+    value exceeds 1).  Non-convergence within DEFAULT_MAX_LEVEL refinements is
     reported via converged=False, not an exception.
     """
     av = as_mpf(a, ctx)
     bv = as_mpf(b, ctx)
     if not av < bv:
         raise ValueError("integration interval requires a < b")
-    return _integrate(f, av, bv, eps, ctx, None, max_level)
+    return _integrate(f, av, bv, eps, ctx, None)
 
 
 def integrate_semi_infinite(
@@ -394,8 +387,6 @@ def integrate_semi_infinite(
     eps,
     ctx: PrecisionContext,
     tail_bound: Optional[DecayCertificate] = None,
-    *,
-    max_level: int = DEFAULT_MAX_LEVEL,
 ) -> IntegralResult:
     """Integrate f over (a, inf) with an exponential-type variable change.
 
@@ -404,7 +395,7 @@ def integrate_semi_infinite(
     per the certificate contract.  Raises ConvergenceError when the map's
     moves (module docstring) do not reach the integrand's mass.
     """
-    return _integrate(f, as_mpf(a, ctx), None, eps, ctx, tail_bound, max_level)
+    return _integrate(f, as_mpf(a, ctx), None, eps, ctx, tail_bound)
 
 
 def tanh_sinh_rule(level: int, ctx: PrecisionContext) -> QuadratureRule:

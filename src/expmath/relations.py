@@ -110,35 +110,34 @@ def _coerce_values(values, precision_digits: int):
     return out
 
 
-def find_integer_relation(
-    values,
-    precision_digits: int,
-    coefficient_cap: int = COEFFICIENT_CAP,
-):
+def find_integer_relation(values, precision_digits: int):
     """Integer vector m with |sum m_i v_i| below 10^-(digits-safety), or None.
 
     The residual must also beat the chance level of m's own size:
     -log10(residual) >= sum log10|m_i| + SAFETY_DIGITS over the nonzero m_i,
     since any values admit relations with residuals of roughly 1/prod|m_i|
     (pigeonhole); the search passes over relations that fail this.  None
-    means: no relation with all |m_i| <= coefficient_cap detectable at this
+    means: no relation with all |m_i| <= COEFFICIENT_CAP detectable at this
     precision.  A residual that plateaus above the acceptance threshold
     while the iteration floor is reached raises PrecisionError instead of
     guessing.
     """
     if len(values) < 2:
         raise DomainError("integer-relation detection needs at least two values")
-    rel = _pslq(_coerce_values(values, precision_digits), precision_digits, coefficient_cap)
+    rel = _pslq(_coerce_values(values, precision_digits), precision_digits)
     return None if rel is None else tuple(rel)
 
 
-def _pslq(xs, precision_digits: int, cap: int):
+def _pslq(xs, precision_digits: int):
     n = len(xs)
     prec = int((precision_digits + 20) * 3.33) + 32
     with mp.workprec(prec):
         scale = max(abs(x) for x in xs)
         if scale == 0:
             raise DomainError("all-zero input has every vector as a relation")
+        if xs[-1] == 0:
+            # its own relation; the start matrix H below would divide by 0
+            return [0] * (n - 1) + [1]
         accept = mpf(10) ** (-(precision_digits - SAFETY_DIGITS)) * max(1, scale)
         detect = mpf(10) ** (-(precision_digits - SAFETY_DIGITS + 3))
         noise_floor = mpmath.ldexp(1, -(prec - 24))
@@ -156,7 +155,6 @@ def _pslq(xs, precision_digits: int, cap: int):
             H[j][j] = s[j + 1] / s[j]
             for i in range(j + 1, n):
                 H[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
-        A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
         def reduce_rows():
@@ -172,7 +170,6 @@ def _pslq(xs, precision_digits: int, cap: int):
                     for k in range(j + 1):
                         H[i][k] -= ti * H[j][k]
                     for k in range(n):
-                        A[i][k] -= ti * A[j][k]
                         B[k][j] += ti * B[k][i]
 
         def candidate(col: int):
@@ -186,7 +183,7 @@ def _pslq(xs, precision_digits: int, cap: int):
                 # a chance relation is passed over, not reported
                 if not _credible(resid, rel, accept):
                     return "reject", None
-            if max(abs(c) for c in rel) > cap:
+            if max(abs(c) for c in rel) > COEFFICIENT_CAP:
                 return "cap", None
             return "accept", list(_normalize_relation(rel))
 
@@ -208,7 +205,7 @@ def _pslq(xs, precision_digits: int, cap: int):
                         "relation could be confirmed or excluded"
                     )
             diag_max = max(abs(H[j][j]) for j in range(n - 1))
-            if diag_max > 0 and 1 / diag_max > cap:
+            if diag_max > 0 and 1 / diag_max > COEFFICIENT_CAP:
                 # every surviving relation would need a coefficient above the cap
                 return None
 
@@ -220,7 +217,6 @@ def _pslq(xs, precision_digits: int, cap: int):
                 if best is None or v > best:
                     best, m = v, i
             y[m], y[m + 1] = y[m + 1], y[m]
-            A[m], A[m + 1] = A[m + 1], A[m]
             H[m], H[m + 1] = H[m + 1], H[m]
             for k in range(n):
                 B[k][m], B[k][m + 1] = B[k][m + 1], B[k][m]
@@ -287,7 +283,7 @@ _BASIS_FACTORIES = {
     "e": ("exp(1)", _make_e),
 }
 
-#: What `default_basis` and `expmath recognize` search when no basis is named.
+#: What `expmath recognize` searches when no basis is named.
 DEFAULT_BASIS = ("one", "gamma", "em2gamma", "zeta3", "pi2")
 
 
@@ -307,10 +303,6 @@ def standard_basis(names, ctx: PrecisionContext) -> list:
             ) from None
         out.append(BasisConstant(name=name, render=render, make=make, value=make(ctx)))
     return out
-
-
-def default_basis(ctx: PrecisionContext) -> list:
-    return standard_basis(DEFAULT_BASIS, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +361,7 @@ def recognize(value, basis, precision_digits: int):
     active = list(range(len(basis)))
     while active:
         try:
-            rel = _pslq([xs[0]] + [xs[i + 1] for i in active], precision_digits, COEFFICIENT_CAP)
+            rel = _pslq([xs[0]] + [xs[i + 1] for i in active], precision_digits)
         except PrecisionError:
             return []
         if rel is None:

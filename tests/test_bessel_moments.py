@@ -93,7 +93,7 @@ class TestKnownValues:
 class TestMonotonicity:
     def test_scan_strictly_decreasing_toward_limit(self):
         ctx = PrecisionContext.from_digits(30)
-        records = bessel_moments.monotonicity_scan(6, ctx)
+        records = [bessel_moments.c_n(n, ctx) for n in range(1, 7)]
         limit = bessel_moments.c_infinity(ctx).value
         assert [r.n for r in records] == [1, 2, 3, 4, 5, 6]
         with mp.workprec(ctx.bits + 16):
@@ -128,11 +128,6 @@ class TestMonotonicity:
 
         fuzzy = [rec(1, "0.70001", "1e-4"), rec(2, "0.70000", "1e-4")]
         assert bessel_moments.find_monotonicity_violations(fuzzy) == [(1, 2)]
-
-    def test_scan_requires_at_least_two(self):
-        ctx = PrecisionContext.from_digits(30)
-        with pytest.raises(ValueError):
-            bessel_moments.monotonicity_scan(1, ctx)
 
 
 def _library_moment(n: int) -> mpf:
@@ -247,11 +242,12 @@ class TestLargeN:
         real = quadrature.integrate_semi_infinite
         seen = []
 
-        def one_level(*args, **kwargs):
-            seen.append(real(*args, max_level=1))
+        def recorded(*args):
+            seen.append(real(*args))
             return seen[-1]
 
-        monkeypatch.setattr(quadrature, "integrate_semi_infinite", one_level)
+        monkeypatch.setattr(quadrature, "DEFAULT_MAX_LEVEL", 1)
+        monkeypatch.setattr(quadrature, "integrate_semi_infinite", recorded)
         with pytest.raises(ConvergenceError) as info:
             bessel_moments.c_n(4, PrecisionContext.from_digits(30))
         estimate = mpmath.nstr(seen[0].error_estimate.value, 4)
@@ -431,7 +427,7 @@ class TestCsvExport:
         from expmath.cli import run
 
         ctx = PrecisionContext.from_digits(30)
-        records = bessel_moments.monotonicity_scan(3, ctx)
+        records = [bessel_moments.c_n(n, ctx) for n in range(1, 4)]
         assert run(["cn", "--n", "1..3", "--digits", "20", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n,value,error_estimate"

@@ -187,6 +187,19 @@ class TestBb:
         assert seen == []
         assert capsys.readouterr().err == "error: objective became non-finite\n"
 
+    def test_random_spd_runs_the_seeded_problem(self, capsys):
+        # the QR factorisation's floats depend on the LAPACK build, so the
+        # run is compared with the library's, not with pinned bytes
+        from expmath import barzilai_borwein
+
+        assert run(["bb", "--problem", "random-spd", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        direct = barzilai_borwein.bb_minimize(
+            barzilai_borwein.random_spd(5, 17), [1.0] * 5, 1e-8, max_iter=10_000
+        )
+        assert payload["iterations"] == direct.iterations
+        assert payload["x"] == [repr(v) for v in direct.x.tolist()]
+
     def test_nan_tolerance_fails_cleanly(self, capsys):
         # 1e-400 is refused too: it rounds to 0 as a float
         for tol in ("nan", "inf", "0", "-1", "1e-400"):
@@ -759,6 +772,22 @@ GOLDEN_STDOUT = [
         'converged,True\n'
         'reference,2\n'
     ),
+    (
+        'quad --integrand bessel-moment --digits 12 --format json',
+        '{"converged":true,"error_estimate":"6.25e-16","integrand":"bessel-moment"'
+        ',"levels_used":5,"reference":"1","value":"1.00000000000"}\n'
+    ),
+]
+
+GOLDEN_SHA256 = [
+    ("walk --digits 40 --size 16",
+     "a83f1d657bb880c3d5ead4dbcd68c272613fd316717c72351d9a0bae37367415"),
+    ("walk --digits 40 --size 16 --image-format ppm",
+     "e77af3dcd9f82a747bfb710b6fc6b20737166a028716eb1ff95757e7762175ad"),
+    ("cn --n 1..24 --digits 12 --format csv",
+     "93a64e58d54e06423aa9f8b3389c513361d43aac3656b3379ed509864250eba5"),
+    ("cn --n 1..24 --digits 30 --format csv",
+     "00aded6302a59ba519cb3df34dec0146b6e65de584063b54bc95e08dcac3cb8c"),
 ]
 
 
@@ -772,17 +801,7 @@ class TestGoldenBytes:
         assert capsysbinary.readouterr().out == expected.encode()
 
     @pytest.mark.parametrize(
-        "argv, sha256",
-        [
-            ("walk --digits 40 --size 16",
-             "a83f1d657bb880c3d5ead4dbcd68c272613fd316717c72351d9a0bae37367415"),
-            ("walk --digits 40 --size 16 --image-format ppm",
-             "e77af3dcd9f82a747bfb710b6fc6b20737166a028716eb1ff95757e7762175ad"),
-            ("cn --n 1..24 --digits 12 --format csv",
-             "93a64e58d54e06423aa9f8b3389c513361d43aac3656b3379ed509864250eba5"),
-            ("cn --n 1..24 --digits 30 --format csv",
-             "00aded6302a59ba519cb3df34dec0146b6e65de584063b54bc95e08dcac3cb8c"),
-        ],
+        "argv, sha256", GOLDEN_SHA256, ids=[argv for argv, _ in GOLDEN_SHA256]
     )
     def test_output_sha256(self, argv, sha256, capsysbinary):
         assert run(argv.split()) == 0

@@ -121,12 +121,7 @@ class TestBesselK0:
     def test_integral_route_refuses_an_unconverged_quadrature(self, monkeypatch):
         # two refinement levels cannot reach 10^-44 at t = 1; the route must
         # say so rather than return the unconverged sum
-        real = quadrature.integrate_semi_infinite
-
-        def two_levels(*args, **kwargs):
-            return real(*args, **{**kwargs, "max_level": 2})
-
-        monkeypatch.setattr(quadrature, "integrate_semi_infinite", two_levels)
+        monkeypatch.setattr(quadrature, "DEFAULT_MAX_LEVEL", 2)
         with pytest.raises(ConvergenceError, match="did not converge"):
             functions.bessel_k0_integral(1, PrecisionContext.from_digits(40))
 

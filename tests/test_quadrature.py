@@ -13,6 +13,7 @@ from expmath.precision import (
     IntegrandError,
     PrecisionContext,
     TailBoundError,
+    make_real,
 )
 
 
@@ -276,7 +277,7 @@ class TestResultMetadata:
             scale = max(mpf(1), abs(r.value.value))
             before, last = r.level_differences[-2:]
             assert last < before
-            rate = quadrature.RATE_SCALE * (last / scale) ** quadrature.RATE_ORDER * scale
+            rate = (last / scale) ** quadrature.RATE_ORDER * scale
             roundoff = mpmath.ldexp(1, -(prec - 10)) * scale * (r.levels_used + 1)
             assert r.error_estimate.value == max(rate, eps * scale / 16, roundoff)
             assert r.error_estimate.value <= eps * scale
@@ -292,11 +293,10 @@ class TestResultMetadata:
             actual = abs(r.value.value - truth)
             assert actual <= 4 * (r.error_estimate.value + mpf(10) ** -35)
 
-    def test_nonconvergence_is_reported_not_raised(self):
+    def test_nonconvergence_is_reported_not_raised(self, monkeypatch):
         ctx = PrecisionContext.from_digits(30)
-        r = quadrature.integrate_finite(
-            lambda x: 1 / mpmath.sqrt(x), 0, 1, mpf(10) ** -30, ctx, max_level=1
-        )
+        monkeypatch.setattr(quadrature, "DEFAULT_MAX_LEVEL", 1)
+        r = quadrature.integrate_finite(lambda x: 1 / mpmath.sqrt(x), 0, 1, mpf(10) ** -30, ctx)
         assert not r.converged
         assert r.levels_used == 1
 
@@ -382,12 +382,11 @@ class TestRefinementBehaviour:
             for earlier, later in zip(diffs, diffs[1:]):
                 assert later <= 2 * earlier or later <= eps
 
-    def test_low_degree_polynomials_exact_at_level_five(self):
+    def test_low_degree_polynomials_exact_at_level_five(self, monkeypatch):
         ctx = PrecisionContext.from_digits(30)
         eps = mpf(10) ** -32
-        r = quadrature.integrate_finite(
-            lambda x: 3 * x * x - 2 * x + mpf("0.5"), 0, 1, eps, ctx, max_level=5
-        )
+        monkeypatch.setattr(quadrature, "DEFAULT_MAX_LEVEL", 5)
+        r = quadrature.integrate_finite(lambda x: 3 * x * x - 2 * x + mpf("0.5"), 0, 1, eps, ctx)
         with mp.workprec(ctx.bits + 16):
             # exact value is 1 - 1 + 1/2
             assert abs(r.value.value - mpf("0.5")) < mpf(10) ** -27
@@ -416,6 +415,25 @@ class TestArgumentValidation:
         ctx = PrecisionContext.from_digits(30)
         with pytest.raises(ValueError):
             quadrature.integrate_finite(lambda x: x, 0, 1, 0, ctx)
+
+
+class TestIntegrandReturnTypes:
+    @pytest.mark.parametrize(
+        "as_returned, as_mpf",
+        [
+            (lambda x, ctx: 3, lambda x, ctx: mpf(3)),
+            (lambda x, ctx: float(x * x), lambda x, ctx: mpf(float(x * x))),
+            (lambda x, ctx: make_real(x * x, ctx), lambda x, ctx: make_real(x * x, ctx).value),
+        ],
+        ids=["int", "float", "BigReal"],
+    )
+    def test_real_returns_agree_with_mpf(self, as_returned, as_mpf):
+        ctx = PrecisionContext.from_digits(30)
+        eps = mpf(10) ** -25
+        r = quadrature.integrate_finite(lambda x: as_returned(x, ctx), 0, 1, eps, ctx)
+        ref = quadrature.integrate_finite(lambda x: as_mpf(x, ctx), 0, 1, eps, ctx)
+        assert r.value.value == ref.value.value
+        assert r.levels_used == ref.levels_used
 
 
 class TestIntegrandFailures:

@@ -70,7 +70,7 @@ class TestFindIntegerRelation:
             values = [mpmath.sqrt(2), mpmath.sqrt(3), mpmath.sqrt(5)]
         assert relations.find_integer_relation(values, 40) is None
 
-    def test_coefficient_cap_excludes_large_relations(self):
+    def test_coefficient_cap_excludes_large_relations(self, monkeypatch):
         ctx = PrecisionContext.from_digits(60)
         g = functions.euler_gamma(ctx)
         with mp.workprec(ctx.bits):
@@ -78,10 +78,8 @@ class TestFindIntegerRelation:
         # the only relation is (1234567, -1); the default cap of 10^6 must
         # refuse it rather than report something else
         assert relations.find_integer_relation([g.value, big], 45) is None
-        rel = relations.find_integer_relation(
-            [g.value, big], 45, coefficient_cap=10**7
-        )
-        assert rel == (1234567, -1)
+        monkeypatch.setattr(relations, "COEFFICIENT_CAP", 10**7)
+        assert relations.find_integer_relation([g.value, big], 45) == (1234567, -1)
 
     def test_gcd_and_sign_normalization(self):
         ctx = PrecisionContext.from_digits(45)
@@ -100,10 +98,13 @@ class TestFindIntegerRelation:
         # coefficients (1, 2, -1) it misses the chance rule by 13 digits, so
         # the search goes past it to the true relation 20 * 0.15 = 3
         ctx = PrecisionContext.from_digits(25)
-        basis = [b.value for b in relations.default_basis(ctx)]
+        basis = [b.value for b in relations.standard_basis(relations.DEFAULT_BASIS, ctx)]
         assert relations.find_integer_relation(basis, 15) is None
         target = parse_decimal("0.15", ctx)
         assert relations.find_integer_relation([target] + basis, 15) == (20, -3, 0, 0, 0, 0)
+
+    def test_zero_last_value_is_its_own_relation(self):
+        assert relations.find_integer_relation([mpf(1), mpf(0)], 30) == (0, 1)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -133,7 +134,7 @@ class TestBasis:
 
     def test_default_basis_composition(self):
         ctx = PrecisionContext.from_digits(30)
-        names = [b.name for b in relations.default_basis(ctx)]
+        names = [b.name for b in relations.standard_basis(relations.DEFAULT_BASIS, ctx)]
         assert names == ["one", "gamma", "em2gamma", "zeta3", "pi2"]
 
 
@@ -163,7 +164,7 @@ class TestRecognize:
     def test_limit_constant_from_decimal_string(self):
         ctx = PrecisionContext.from_digits(60)
         value = parse_decimal(CINF_50, ctx)
-        basis = relations.default_basis(ctx)
+        basis = relations.standard_basis(relations.DEFAULT_BASIS, ctx)
         matches = relations.recognize(value, basis, 50)
         assert matches, "the limit constant went unrecognized"
         top = matches[0]
@@ -201,7 +202,8 @@ class TestRecognize:
 
         monkeypatch.setattr(relations, "_pslq", counting)
         ctx = PrecisionContext.from_digits(60)
-        matches = relations.recognize(parse_decimal(CINF_50, ctx), relations.default_basis(ctx), 50)
+        basis = relations.standard_basis(relations.DEFAULT_BASIS, ctx)
+        matches = relations.recognize(parse_decimal(CINF_50, ctx), basis, 50)
         assert matches[0].rendering == "2*exp(-2*gamma)"
         assert len(calls) == 1
 
@@ -246,20 +248,48 @@ class TestRecognize:
     def test_random_control_finds_nothing(self, digits):
         ctx = PrecisionContext.from_digits(60)
         value = parse_decimal(RANDOM_CONTROL, ctx)
-        basis = relations.default_basis(ctx)
+        basis = relations.standard_basis(relations.DEFAULT_BASIS, ctx)
         assert relations.recognize(value, basis, digits) == []
+
+    def test_residual_plateau_in_the_search_finds_nothing(self, monkeypatch):
+        def plateau(*args):
+            raise PrecisionError("residual plateau")
+
+        monkeypatch.setattr(relations, "_pslq", plateau)
+        ctx = PrecisionContext.from_digits(60)
+        basis = relations.standard_basis(["one"], ctx)
+        assert relations.recognize(parse_decimal("0.5", ctx), basis, 30) == []
+
+    def test_every_basis_constant_dropped_finds_nothing(self):
+        # 0 * value + 1 * 0 = 0 leaves the value out; its one basis constant
+        # is dropped and no constant is left to search
+        ctx = PrecisionContext.from_digits(60)
+        zero = relations.BasisConstant("zero", "0", lambda c: make_real(0, c), make_real(0, ctx))
+        assert relations.recognize(parse_decimal("0.5", ctx), [zero], 30) == []
+
+    def test_relation_that_fails_reverification_is_dropped(self):
+        # the stored 1 gives (2, -1) at once; regenerated, the constant reads
+        # 1 + 10^-10 and the residual misses the 10^-15 acceptance threshold
+        ctx = PrecisionContext.from_digits(60)
+
+        def drifting(c):
+            with mp.workprec(c.bits):
+                return make_real(1 + mpf(10) ** -10, c)
+
+        one = relations.BasisConstant("one", "1", drifting, make_real(1, ctx))
+        assert relations.recognize(parse_decimal("0.5", ctx), [one], 30) == []
 
     def test_too_coarse_a_value_is_an_error(self):
         # 104 bits cannot answer for 50 digits, whatever the search finds
         value = parse_decimal(CINF_50, PrecisionContext.from_digits(20))
-        basis = relations.default_basis(PrecisionContext.from_digits(60))
+        basis = relations.standard_basis(relations.DEFAULT_BASIS, PrecisionContext.from_digits(60))
         with pytest.raises(PrecisionError):
             relations.recognize(value, basis, 50)
 
     def test_matches_sorted_by_residual_then_size(self):
         ctx = PrecisionContext.from_digits(60)
         value = parse_decimal(CINF_50, ctx)
-        basis = relations.default_basis(ctx)
+        basis = relations.standard_basis(relations.DEFAULT_BASIS, ctx)
         matches = relations.recognize(value, basis, 50)
         residuals = [m.residual.value for m in matches]
         assert residuals == sorted(residuals)
@@ -271,7 +301,7 @@ class TestRecognize:
         digits = 40
         ctx = PrecisionContext.from_digits(digits + 10)
         value = parse_decimal(CINF_50, ctx)
-        basis = relations.default_basis(ctx)
+        basis = relations.standard_basis(relations.DEFAULT_BASIS, ctx)
         matches = relations.recognize(value, basis, digits)
         assert matches
         hi = PrecisionContext.from_digits(digits + 30)
