@@ -25,6 +25,7 @@ logarithm per node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,17 +82,18 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
     prec = ctx.bits + 16
     with mp.workprec(prec):
         eps_v = _default_eps(ctx) if eps is None else mpf(eps)
-        ln2 = mpmath.ln(2)
-        prefactor = n * ln2 - mpmath.loggamma(n + 1)
-        half_log = mpmath.ln(mpmath.pi) / 2
+        prefactor = n * mpmath.ln(2) - mpmath.loggamma(n + 1)
+        float_prefactor, half_log = float(prefactor), math.log(math.pi / 2) / 2
 
         # t is an exp-sinh abscissa over (0, inf): t.ln is ln t
         def integrand(t: mpf) -> mpf:
             return mpmath.exp(prefactor + t.ln + n * _log_k0_cached(t._mpf_, prec))
 
-        def log_bound(t: mpf) -> mpf:
-            # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail bracket)
-            return prefactor + t.ln + n * (half_log - (t.ln + ln2) / 2 - t)
+        def log_bound(t: mpf) -> float:
+            # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail
+            # bracket), in floats: a t past the float range gives -inf
+            ln_t = float(t.ln)
+            return float_prefactor + ln_t + n * (half_log - ln_t / 2 - float(t))
 
         certificate = quadrature.DecayCertificate(beyond=2, log_bound=log_bound)
     result = quadrature.integrate_semi_infinite(integrand, 0, eps_v, ctx, certificate)

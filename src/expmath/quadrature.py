@@ -17,9 +17,11 @@ on (a, b) receives arguments whose distance from a is exact however close
 to its singularity; the interval's centre and half-width are formed at
 the working precision.  A semi-infinite node x = e^a is built whole,
 once: its abscissae are mpfs that carry ln x = +-a, the map's own
-exponent, and its weights carry their logarithms, so neither the
+exponent, and its weights carry their logarithms as floats, so neither the
 certificate's skip test nor a log-space integrand takes a logarithm per
-node and call; a shift to a nonzero start is exact too.
+node and call; a shift to a nonzero start is exact too.  A certificate's
+skip test and bound check compare floats, and only a bound check within
+float roundoff of a tie takes a logarithm.
 Tails of each trapezoid sum are cut adaptively: a sweep stops once several
 consecutive node pairs contribute below the tolerance, which is what makes
 endpoint singularities converge at the same rate as smooth integrands.
@@ -55,6 +57,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -92,6 +95,8 @@ _MAX_MOVES = 64
 #: returned C_8 at (35, 1e-33) off by 6.45 eps, and order 2 returned 16 of
 #: the 100 off by more than eps.
 RATE_ORDER = 1.5
+
+_LN2 = math.log(2)
 
 
 @lru_cache(maxsize=128)
@@ -146,11 +151,13 @@ class DecayCertificate:
     The engine uses it two ways: nodes whose certified bound is negligible
     are counted as exact zeros without evaluating f (this is what makes
     integrands that underflow or overflow far out in the tail safe), and
-    evaluated nodes that exceed the bound raise TailBoundError.
+    evaluated nodes that exceed the bound raise TailBoundError.  log_bound
+    may return a float or an mpf, which the engine reads as a float; -inf
+    (a bound past the float range) skips the node, and +inf never does.
     """
 
     beyond: float | mpf
-    log_bound: Callable[[mpf], mpf]
+    log_bound: Callable[[mpf], float | mpf]
 
 
 def _nodes(kind: str, prec: int, level: int):
@@ -164,41 +171,59 @@ def _nodes(kind: str, prec: int, level: int):
       the sweep mirrors it onto both endpoints.
     - "es" (x = e^a): (x, w, ln w, 1/x, w', ln w') for t and -t, the small
       abscissa kept as the exponential itself for full relative precision
-      near 0.  Both abscissae are `_LogAbscissa`s carrying +-a; ln w is
-      mpmath.ln(w) and ln w' = ln w - 2a, what a decay certificate's skip
-      test reads.
+      near 0.  Both abscissae are `_LogAbscissa`s carrying +-a; ln w =
+      float(a) + log(float(w e^-a)) and ln w' = ln w - 2 float(a) are floats,
+      since they only decide a certificate's skip test and a move's choice.
     A table ends at None, once its nodes are past any resolvable tail.
     """
     table = _table(kind, prec, level)
     index = 0
+    shared = None  # pi/2, h and the table's cut-off, formed for its first build
     while True:
         if index == len(table):
             with mp.workprec(prec):
-                t = (2 * index + 1 if level > 0 else index + 1) * mpf(2) ** (-level)
-                half_pi = mpmath.pi / 2
+                if shared is None:
+                    cut = (mpmath.ldexp(1, -int(6.5 * prec)) if kind == "ts"
+                           else mpf(8 * prec) * mpmath.ln(2))
+                    shared = mpmath.pi / 2, mpf(2) ** (-level), cut
+                half_pi, h, cut = shared
+                t = (2 * index + 1 if level > 0 else index + 1) * h
                 et = mpmath.exp(t)
-                cosh_t = (et + 1 / et) / 2
-                a = half_pi * (et - 1 / et) / 2
+                inv_et = 1 / et
+                cosh_t = (et + inv_et) / 2
+                a = half_pi * (et - inv_et) / 2
                 if kind == "ts":
                     e2a = mpmath.exp(2 * a)
                     d = 2 / (e2a + 1)
                     w = half_pi * cosh_t * 4 * e2a / (e2a + 1) ** 2
-                    node = (d, w) if d >= mpmath.ldexp(1, -int(6.5 * prec)) else None
-                elif a > mpf(8 * prec) * mpmath.ln(2):
+                    node = (d, w) if d >= cut else None
+                elif a > cut:
                     node = None
                 else:
                     ea = mpmath.exp(a)
                     wf = half_pi * cosh_t
-                    w = ea * wf
-                    log_w = mpmath.ln(w)
-                    node = (_LogAbscissa(ea, a), w, log_w,
-                            _LogAbscissa(1 / ea, -a), wf / ea, log_w - 2 * a)
+                    log_w = float(a) + math.log(float(wf))
+                    node = (_LogAbscissa(ea, a), ea * wf, log_w,
+                            _LogAbscissa(1 / ea, -a), wf / ea, log_w - 2 * float(a))
             table.append(node)
         node = table[index]
         if node is None:
             return
         yield node
         index += 1
+
+
+def _exceeds(fv: mpf, limit: float) -> bool:
+    """ln|fv| > limit for a nonzero fv, read off fv's binary exponent m,
+    since 2^(m-1) <= |fv| < 2^m; the logarithm is taken only when limit
+    lies within float roundoff of [(m-1) ln 2, m ln 2]."""
+    m = mpmath.mag(fv)
+    slack = 2.0 ** -40 * (abs(m) + 1)
+    if m * _LN2 < limit - slack:
+        return False
+    if (m - 1) * _LN2 > limit + slack:
+        return True
+    return mpmath.ln(abs(fv)) > limit
 
 
 def _coerce(fv) -> mpf:
@@ -227,28 +252,16 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
         half_pi = mpmath.pi / 2
         # the exp-sinh centre's log weight, read by a certificate's skip test
         # and by a move of the map
-        log_centre_w = mpmath.ln(half_pi) if b is None else None
+        log_centre_w = math.log(math.pi / 2) if b is None else None
         noise = mpmath.ldexp(1, -(prec - 10))
         ln2 = mpmath.ln(2)
-
-        def exceeds(fv, limit):
-            """ln|fv| > limit, read off fv's binary exponent m, since
-            2^(m-1) <= |fv| < 2^m; the logarithm is taken only when limit
-            lies within roundoff of [(m-1) ln 2, m ln 2]."""
-            m = mpmath.mag(fv)
-            slack = noise * (abs(m) + abs(limit))
-            if m * ln2 < limit - slack:
-                return False
-            if (m - 1) * ln2 > limit + slack:
-                return True
-            return mpmath.ln(abs(fv)) > limit
 
         def evaluate(y, weight, log_weight):
             """One weighted integrand evaluation under the tail policy;
             `log_weight` is ln(weight), read only under a certificate."""
             certified = cert_beyond is not None and y >= cert_beyond
             if certified:
-                bound = tail_bound.log_bound(y)
+                bound = float(tail_bound.log_bound(y))
                 if bound < log_term_floor - log_weight:
                     return mpf(0)  # certified negligible; skip evaluation
             try:
@@ -260,7 +273,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                 if certified:
                     return mpf(0)  # under/overflow under certificate: exact zero by contract
                 raise IntegrandError(f"integrand not finite at y={mpmath.nstr(y, 8)}")
-            if certified and fv != 0 and exceeds(fv, bound + 2):
+            if certified and fv != 0 and _exceeds(fv, bound + 2):
                 raise TailBoundError(
                     f"integrand exceeds its decay certificate at y={mpmath.nstr(y, 8)}"
                 )
@@ -270,9 +283,8 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             """An exp-sinh node (x, w, ln w) with the map moved by x -> 2^j x,
             exact in x and w, then shifted exactly by a."""
             if j:
-                shift = j * ln2
-                x = _LogAbscissa(mpmath.ldexp(x, j), x.ln + shift)
-                w, log_w = mpmath.ldexp(w, j), log_w + shift
+                x = _LogAbscissa(mpmath.ldexp(x, j), x.ln + j * ln2)
+                w, log_w = mpmath.ldexp(w, j), log_w + j * _LN2
             return (mpmath.fadd(a, x, exact=True) if a else x), w, log_w
 
         def scout(j, pairs, known=()):
@@ -285,13 +297,13 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             return nodes, [*known, *(evaluate(*place(*node, j)) for node in nodes[len(known):])]
 
         term_floor = eps / 16
-        log_term_floor = mpmath.ln(term_floor)
+        log_term_floor = float(mpmath.ln(term_floor))
         j = 0
         if b is None:
             # the move of the module docstring; x f is the mass per unit of
             # ln x, and level0 keeps the final scout's w f for level 0's sum
             _, level0 = scout(0, 2)
-            floor = log_term_floor + DEFAULT_MAX_LEVEL * ln2
+            floor = log_term_floor + DEFAULT_MAX_LEVEL * _LN2
             if all(mpmath.ln(abs(v)) < floor for v in level0):
                 known = level0
                 for _ in range(_MAX_MOVES):
@@ -331,7 +343,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                 part += contrib
                 # Tail cut: several consecutive negligible contributions, but
                 # never before t = index*h reaches past the weight hump at ~1.
-                if index * h >= 1:
+                if index >= 1 << level:
                     if abs(contrib) < tail_floor:
                         quiet += 1
                         if quiet >= 3:
@@ -354,7 +366,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                     break
             prev = total
             term_floor = eps * scale_est / 16
-            log_term_floor = mpmath.ln(term_floor)
+            log_term_floor = float(mpmath.ln(term_floor))
         total = +total
         err = +(err if diffs else abs(total))
     return IntegralResult(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -391,6 +392,83 @@ class TestBitIdentity:
         monkeypatch.setattr(quadrature, "integrate_semi_infinite", recording)
         self._c_n(150, 30, 25)
         assert centres[0] == 0 and abs(centres[-1] + 108) <= 4
+
+
+class TestSweepDecisions:
+    """c_n's sweep decisions by count: its integrand evaluations, and the
+    certificate's skips, the certified nodes it never evaluates.  A change
+    that only makes the skip test or the tail-bound check cheaper keeps both
+    counts."""
+
+    PINNED = {
+        (4, 30, 25): (185, 100),
+        (4, 45, 40): (387, 200),
+        (4, 60, 52): (405, 210),
+        (1, 60, 52): (823, 348),
+    }
+
+    @pytest.mark.parametrize("call", list(PINNED), ids=lambda c: "n%d-d%d-e%d" % c)
+    def test_evaluations_and_skips_are_pinned(self, call, monkeypatch):
+        real = quadrature.integrate_semi_infinite
+        evaluated, bounded = [], []
+
+        def counting(f, a, eps, ctx, tail_bound):
+            def g(t):
+                evaluated.append(t)
+                return f(t)
+
+            def log_bound(t):
+                bounded.append(t)
+                return tail_bound.log_bound(t)
+
+            cert = quadrature.DecayCertificate(tail_bound.beyond, log_bound)
+            return real(g, a, eps, ctx, cert)
+
+        monkeypatch.setattr(quadrature, "integrate_semi_infinite", counting)
+        TestBitIdentity._c_n(*call)
+        certified = [t for t in evaluated if t >= 2]
+        assert (len(evaluated), len(bounded) - len(certified)) == self.PINNED[call]
+        if call[0] == 1:
+            # C_1 at 60 digits evaluates deep in the certified tail
+            assert 131 < max(evaluated) < 132
+
+
+class _Captured(Exception):
+    pass
+
+
+def _certificate(n):
+    """The DecayCertificate c_n(n) hands to the quadrature sweep."""
+    def capture(f, a, eps, ctx, tail_bound):
+        raise _Captured(tail_bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "integrate_semi_infinite", capture)
+        with pytest.raises(_Captured) as info:
+            bessel_moments.c_n(n, PrecisionContext.from_digits(30))
+    return info.value.args[0]
+
+
+class TestFloatCertificate:
+    """c_n's log_bound is formed in floats and read as one; it still bounds
+    ln((2^n/n!) t K0(t)^n) from above for t >= 2."""
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 320), log_t=st.floats(math.log(2), math.log(10 ** 4)))
+    def test_bounds_the_integrand(self, n, log_t):
+        log_bound = _certificate(n).log_bound
+        with mp.workdps(50):
+            t = max(mpf(2), mpmath.exp(log_t))
+            exact = (n * mpmath.ln(2) - mpmath.loggamma(n + 1) + mpmath.ln(t)
+                     + n * mpmath.ln(mpmath.besselk(0, t)))
+            bound = log_bound(quadrature._LogAbscissa(t, mpmath.ln(t)))
+            assert type(bound) is float
+            assert bound >= exact
+
+    def test_past_the_float_range_is_minus_infinity(self):
+        with mp.workprec(128):
+            t = quadrature._LogAbscissa(mpf(2) ** 5000, 5000 * mpmath.ln(2))
+        assert _certificate(4).log_bound(t) == -math.inf
 
 
 class TestRecordValidation:

@@ -1,5 +1,6 @@
 """Quadrature engine: known integrals, endpoint singularities, tail policy."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -585,22 +586,20 @@ class TestDecayCertificate:
             assert seen and all(abs(x.ln - mpmath.ln(x)) <= tol for x in seen)
 
     def test_large_side_node_carries_its_log_weight(self):
-        # the skip test reads ln w from the table; on the large side it must
-        # be the very bits mpmath.ln(w) gives at the table's precision.  On
-        # the small side ln w' = ln w - 2a carries the roundings of ln w, 2a,
-        # their difference and w' itself, each an ulp of a number below
-        # 2^11 at most (|a| <= 8 prec ln 2 < 2^10 here), so it lies within
-        # 2^(12 - prec) of mpmath.ln(w')
-        prec = PrecisionContext.from_digits(30).bits + 16
-        for level in (0, 3):
-            nodes = list(quadrature._nodes("es", prec, level))
-            assert nodes
-            with mp.workprec(prec):
-                tol = mpmath.ldexp(1, 12 - prec)
-                for x, w, log_w, x_small, w_small, log_w_small in nodes:
-                    assert log_w == mpmath.ln(w)
-                    assert abs(log_w_small - mpmath.ln(w_small)) <= tol
-                    assert x_small.ln == -x.ln
+        # the skip test and a move read ln w and ln w' from the table as
+        # floats: each within a few float roundings of the logarithm of its
+        # weight, however large |a| gets (up to 8 prec ln 2)
+        for digits in (30, 200):
+            prec = PrecisionContext.from_digits(digits).bits + 16
+            for level in (0, 3):
+                nodes = list(quadrature._nodes("es", prec, level))
+                assert nodes
+                with mp.workprec(prec):
+                    for x, w, log_w, x_small, w_small, log_w_small in nodes:
+                        for log_v, v in ((log_w, w), (log_w_small, w_small)):
+                            assert type(log_v) is float
+                            assert abs(log_v - float(mpmath.ln(v))) <= 1e-12 * max(1, abs(log_v))
+                        assert x_small.ln == -x.ln
 
     def test_certificate_covering_the_small_side(self):
         # beyond = 0 certifies every node, the small side's included, whose
@@ -612,6 +611,37 @@ class TestDecayCertificate:
         )
         with mp.workprec(ctx.bits + 16):
             _check(r, mpf(1), mpf(10) ** -28)
+
+
+class TestExceeds:
+    """`_exceeds(fv, limit)` decides ln|fv| > limit from fv's binary exponent
+    and a float limit, and takes the logarithm only near a tie."""
+
+    PREC = 116
+
+    @settings(max_examples=300)
+    @given(
+        man=st.integers(1, 2 ** 100 - 1),
+        mag=st.integers(-10 ** 6, 10 ** 6),
+        negative=st.booleans(),
+        limit=st.one_of(
+            st.tuples(st.sampled_from([-1, 0]),
+                      st.one_of(st.floats(-1e-12, 1e-12), st.floats(-2, 2))),
+            st.sampled_from([math.inf, -math.inf]),
+        ),
+    )
+    def test_agrees_with_the_logarithm(self, man, mag, negative, limit):
+        # fv has binary exponent `mag`: 2^(mag-1) <= |fv| < 2^mag; a finite
+        # limit lies near (mag-1) ln 2 or mag ln 2
+        with mp.workprec(self.PREC):
+            fv = mpmath.ldexp(mpf(-man if negative else man), mag - man.bit_length())
+            assert mpmath.mag(fv) == mag
+            if isinstance(limit, tuple):
+                edge, offset = limit
+                limit = float((mag + edge) * mpmath.ln(2)) + offset
+            got = quadrature._exceeds(fv, limit)
+        with mp.workprec(2 * self.PREC):
+            assert got == (mpmath.ln(abs(fv)) > limit)
 
 
 class TestRuleTable:

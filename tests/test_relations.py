@@ -1,7 +1,10 @@
 """Integer-relation detection and closed-form recognition."""
 
+import random
+
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from expmath import agm, bessel_moments, functions, relations
@@ -111,6 +114,34 @@ class TestFindIntegerRelation:
             relations.find_integer_relation([mpf(1)], 40)
         with pytest.raises(DomainError):
             relations.find_integer_relation([mpf(1), mpf(2)], 5)
+
+
+class TestPlantedRelations:
+    """The PSLQ contract on random inputs: a relation planted among random
+    50-digit values is found with a credible residual, and a random target
+    in its place leaves nothing to find."""
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2 ** 32),
+        coefficients=st.lists(st.integers(-30, 30), min_size=1, max_size=4).filter(any),
+        denominator=st.integers(1, 30),
+        digits=st.integers(30, 60),
+    )
+    def test_planted_relation_is_recovered(self, seed, coefficients, denominator, digits):
+        rng = random.Random(seed)
+        with mp.workprec(400):
+            xs = [mpf(rng.randrange(10 ** 49, 10 ** 50)) / 10 ** 50 for _ in coefficients]
+            planted = mpmath.fsum(c * x for c, x in zip(coefficients, xs)) / denominator
+            other = mpf(rng.randrange(10 ** 49, 10 ** 50)) / 10 ** 50
+        rel = relations.find_integer_relation([planted] + xs, digits)
+        expected = relations._normalize_relation([denominator] + [-c for c in coefficients])
+        assert rel == expected
+        with mp.workprec(400):
+            resid = abs(mpmath.fsum(m * v for m, v in zip(rel, [planted] + xs)))
+            accept = mpf(10) ** -(digits - relations.SAFETY_DIGITS) * max(1, abs(planted))
+            assert relations._credible(resid, rel, accept)
+        assert relations.find_integer_relation([other] + xs, digits) is None
 
 
 class TestBasis:
