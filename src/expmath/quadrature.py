@@ -17,11 +17,11 @@ on (a, b) receives arguments whose distance from a is exact however close
 to its singularity; the interval's centre and half-width are formed at
 the working precision.  A semi-infinite node x = e^a is built whole,
 once: its abscissae are mpfs that carry ln x = +-a, the map's own
-exponent, and its weights carry their logarithms as floats, so neither the
-certificate's skip test nor a log-space integrand takes a logarithm per
-node and call; a shift to a nonzero start is exact too.  A certificate's
-skip test and bound check compare floats, and only a bound check within
-float roundoff of a tie takes a logarithm.
+exponent, and its weights carry their logarithms as floats, so the
+certificate's skip test takes no logarithm per node and call, and an
+integrand may read ln x off its argument; a shift to a nonzero start is
+exact too.  A certificate's skip test and bound check compare floats, and
+only a bound check within float roundoff of a tie takes a logarithm.
 Tails of each trapezoid sum are cut adaptively: a sweep stops once several
 consecutive node pairs contribute below the tolerance, which is what makes
 endpoint singularities converge at the same rate as smooth integrands.
@@ -46,10 +46,12 @@ largest of three terms (after Bailey, Jeyabalan and Li, Experimental Math.
 - a roundoff term 2^-(prec-10) * scale * (m + 1).
 The sweep stops at the first level whose E_m is at most the tolerance,
 max(eps * scale, the roundoff term), and reports E_m as the result's
-`error_estimate`.  For an integrand the map resolves it bounds
-|value - integral|; it is an estimate, not a proof, and a sum that misses
-mass its nodes never reach, such as a spike between them, is not bounded
-by it.
+`error_estimate`.  A level whose node table ends before the quiet-tail
+cut, with its last pair still at or above the cut's floor, cannot stop the
+sweep: every level misses the mass past that node alike, so no d_m shows
+it.  For an integrand the map resolves E_m bounds |value - integral|; it
+is an estimate, not a proof, and a sum that misses mass its nodes never
+reach, such as a spike between them, is not bounded by it.
 
 All summation is sequential in a fixed node order, so results are exactly
 reproducible run to run.
@@ -329,7 +331,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             # |contrib| * h < term_floor, exactly, since h is a power of two
             tail_floor = term_floor / h
             part = mpf(0) if level else level0[0]
-            quiet = 0
+            quiet, loud = 0, False
             for index, node in enumerate(_nodes(kind, prec, level), 1):
                 if not level and 2 * index < len(level0):
                     contrib = level0[2 * index - 1] + level0[2 * index]
@@ -350,6 +352,10 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                             break
                     else:
                         quiet = 0
+            else:
+                # the table ran out before the quiet-tail cut fired; a last
+                # pair at or above the cut's floor leaves mass past it out
+                loud = abs(contrib) >= tail_floor
             total = h * part if level == 0 else total / 2 + h * part
             scale_est = max(mpf(1), abs(total))
             if prev is not None:
@@ -361,7 +367,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                 diffs.append(diff)
                 roundoff = noise * scale_est * (level + 1)
                 err = max(rate, eps * scale_est / 16, roundoff)
-                if err <= max(eps * scale_est, roundoff):
+                if not loud and err <= max(eps * scale_est, roundoff):
                     converged = True
                     break
             prev = total

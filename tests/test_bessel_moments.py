@@ -91,6 +91,25 @@ class TestKnownValues:
             assert gap <= budget
 
 
+class TestHighPrecision:
+    """The integrand e^prefactor t K0^n well past the digits of the other
+    tests, against closed forms from mpmath's own constants."""
+
+    def test_c4_at_200_digits(self):
+        ctx = PrecisionContext.from_digits(200)
+        rec = bessel_moments.c_n(4, ctx, eps=mpf(10) ** -195)
+        with mp.workprec(ctx.bits + 64):
+            assert abs(rec.value.value - 7 * mpmath.zeta(3) / 12) < mpf(10) ** -195
+
+    def test_c3_at_150_digits(self):
+        # C_3 = L_{-3}(2) = (psi'(1/3) - psi'(2/3)) / 9
+        ctx = PrecisionContext.from_digits(150)
+        rec = bessel_moments.c_n(3, ctx, eps=mpf(10) ** -145)
+        with mp.workprec(ctx.bits + 64):
+            ref = (mpmath.psi(1, mpf(1) / 3) - mpmath.psi(1, mpf(2) / 3)) / 9
+            assert abs(rec.value.value - ref) < mpf(10) ** -145
+
+
 class TestMonotonicity:
     def test_scan_strictly_decreasing_toward_limit(self):
         ctx = PrecisionContext.from_digits(30)
@@ -209,24 +228,20 @@ class TestLargeN:
             # C_n - C_inf < 2e-14 from n = 48 on
             assert abs(rec.value.value - limit) < mpf(10) ** -10
 
-    def test_unshifted_range_keeps_memo_reuse(self, monkeypatch):
+    def test_unshifted_range_keeps_memo_reuse(self):
         ctx = PrecisionContext.from_digits(30)
-        raw = functions._log_k0_raw
-        calls = []
+        memo = bessel_moments._k0_cached
 
-        def counting(t, prec):
-            calls.append(t)
-            return raw(t, prec)
+        def misses(n):
+            before = memo.cache_info().misses
+            bessel_moments.c_n(n, ctx)
+            return memo.cache_info().misses - before
 
-        monkeypatch.setattr(functions, "_log_k0_raw", counting)
-        bessel_moments._log_k0_cached.cache_clear()
-        bessel_moments.c_n(20, ctx)
-        cold = len(calls)
-        bessel_moments._log_k0_cached.cache_clear()
+        memo.cache_clear()
+        cold = misses(20)
+        memo.cache_clear()
         bessel_moments.c_n(4, ctx)
-        del calls[:]
-        bessel_moments.c_n(20, ctx)
-        assert len(calls) < cold
+        assert misses(20) < cold
 
     def test_mass_past_the_move_budget_is_refused_fast(self):
         # the peak near t = e^{-25000} lies past 64 moves of the map, each
@@ -330,19 +345,16 @@ class TestTwoDimensionalOracle:
             assert abs(closed - ref.value.value) < scale * mpf(10) ** -26
 
 
-class TestLogK0Memo:
-    def test_repeated_moment_recomputes_no_log_k0(self, monkeypatch):
+class TestK0Memo:
+    def test_repeated_moment_recomputes_no_k0(self):
         ctx = PrecisionContext.from_digits(30)
         first = bessel_moments.c_n(3, ctx)
-
-        def refuse(t, prec):
-            raise AssertionError("ln K0 recomputed")
-
-        monkeypatch.setattr(functions, "_log_k0_raw", refuse)
+        before = bessel_moments._k0_cached.cache_info().misses
         assert bessel_moments.c_n(3, ctx) == first
+        assert bessel_moments._k0_cached.cache_info().misses == before
 
     def test_memo_is_bounded(self):
-        maxsize = bessel_moments._log_k0_cached.cache_info().maxsize
+        maxsize = bessel_moments._k0_cached.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
 
@@ -354,13 +366,13 @@ class TestBitIdentity:
 
     PINNED = {
         (1, 30, 25): "68e8e3759334e12187c37b8eac5d35c7e12abcb9fb8ee2cea745890e28917061",
-        (2, 30, 25): "688790b978ae813d22243d075a915f4becc5005c9a303599abd72d7adc023730",
+        (2, 30, 25): "d3fffbba67eb5cad908e659a83fc6398896f1685fe6d3bf551438ab4dd914951",
         (3, 30, 25): "f206028b8d5c98f927ac0b76561592d1823d59b8effc13d0f1bb6f446af738fb",
         (4, 30, 25): "4dbe4cb8c040563b8d66144ac5f553ac60d3a19d0eea59e7d057e4b6f62639f4",
-        (8, 30, 25): "3a823e9eb3865bd4e2c845b31297e703a3a021d70ce1963371c097523f2e525f",
-        (20, 30, 25): "85d349dbb54250d0fad497f8c1441bbf38e5d9c2557cb3dffcaa733461896a3b",
+        (8, 30, 25): "7bac24410ee071f0be8cb762fbd9d7763a31dd5ddc5a09a2b9d09ef61bdf3392",
+        (20, 30, 25): "7c8704b38c4699a686bb27c58bfdf48d3f4d5ab9cf3bbdb26f84ecd7aac84e5d",
         (4, 60, 52): "6de5c7f2a6eb5bce3d670b1115ed1de79fc733c14a4b21190dedb05875a9bd9c",
-        (150, 30, 25): "a0d2ee98093ac555a9fee49b82e6d65fe4bc1a8a4068bd71a8d0f75702fc4c29",
+        (150, 30, 25): "4c159d3da66ea26d182cff1aa72ca62a27834f42e7f49554c95078f256e8d224",
     }
 
     @staticmethod

@@ -942,7 +942,7 @@ class TestMemoPolicy:
                     assert isinstance(value.cache_info().maxsize, int), f"{module_name}.{name}"
                 elif isinstance(value, (dict, list, set)) and not name.startswith("__"):
                     containers.add(f"{module_name}.{name}")
-        assert {"_table", "_bernoulli_number", "_power_sums", "_log_k0_cached"} <= memos
+        assert {"_table", "_bernoulli_number", "_power_sums", "_k0_cached"} <= memos
         assert containers == {
             "barzilai_borwein.PROBLEMS", "relations._BASIS_FACTORIES", "cli._BB_DEFAULT_STARTS",
         }

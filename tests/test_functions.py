@@ -170,17 +170,17 @@ class TestBesselK0:
             assert abs(ours - ref) < ref * mpf(10) ** -30
 
     @given(digits=st.integers(15, 110), position=st.floats(0, 1))
-    def test_log_k0_matches_library_bessel_on_both_routes(self, digits, position):
-        # c_n reads ln K0 from here directly; t runs log-uniformly over
+    def test_k0_raw_matches_library_bessel_on_both_routes(self, digits, position):
+        # c_n reads K0 from here directly; t runs log-uniformly over
         # [1e-30, 1e7], across the series/asymptotic switch, and the error
-        # is absolute, scaled by |ln K0| once that passes 1
+        # is relative, since K0(1e7) is about 1e-4342949
         ctx = PrecisionContext.from_digits(digits)
         with mp.workprec(ctx.bits):
             t = mpf(10) ** (-30 + 37 * mpf(position))
-        ours = functions._log_k0_raw(t, ctx.bits + 16)
+        ours = functions._k0_raw(t, ctx.bits + 16)
         with mp.workprec(ctx.bits + 64):
-            ref = mpmath.ln(mpmath.besselk(0, t))
-            assert abs(ours - ref) <= mpf(10) ** -digits * max(1, abs(ref))
+            ref = mpmath.besselk(0, t)
+            assert abs(ours - ref) <= mpf(10) ** -digits * ref
 
     def test_twenty_digit_value_at_one(self):
         ctx = PrecisionContext.from_digits(30)

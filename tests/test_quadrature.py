@@ -302,6 +302,31 @@ class TestResultMetadata:
         assert r.levels_used == 1
 
 
+class TestTableEnd:
+    """A level whose node table ends before its quiet-tail cut fires has
+    missed the mass past the last node; every level misses the same mass,
+    so the level differences stay small, and only the loud end shows it."""
+
+    @pytest.mark.parametrize("case", ["finite", "semi_infinite"])
+    def test_mass_past_the_last_node_does_not_converge(self, case):
+        # x^-0.93 (-ln x)^3 on (0, 1) keeps about 1.5e-11 of its 3!/0.07^4
+        # below the smallest node, 1.1e-293; x^-0.95 e^-x on (0, inf),
+        # Gamma(0.05), is as loud at the small side's last node
+        ctx = PrecisionContext.from_digits(30)
+        with mp.workprec(ctx.bits + 16):
+            eps = mpf(10) ** -25
+            if case == "finite":
+                r = quadrature.integrate_finite(
+                    lambda x: x ** mpf("-0.93") * (-mpmath.ln(x)) ** 3, 0, 1, eps, ctx)
+                exact = 6 / mpf("0.07") ** 4
+            else:
+                r = quadrature.integrate_semi_infinite(
+                    lambda x: x ** mpf("-0.95") * mpmath.exp(-x), 0, eps, ctx)
+                exact = mpmath.gamma(mpf("0.05"))
+            assert abs(r.value.value - exact) > eps * exact
+        assert not r.converged
+
+
 class TestErrorEstimateContract:
     """A converged result's error_estimate bounds |value - exact|, on both
     maps, for integrands with closed forms and their mass near x = 1."""
