@@ -12,14 +12,17 @@ sequence decreases monotonically from C_1 = 2 toward the limit 2 e^{-2 gamma}.
 The integrand is e^prefactor t K0(t)^n, with prefactor = ln(2^n/n!) formed
 once per call; an mpf's exponent has no bound, so K0^n cannot underflow
 however far into the tail t lies.  Each K0 value is memoized by its exact
-node and precision, and shared across n.  A decay certificate derived from
-the strict bound K0(t) < sqrt(pi/(2t)) e^{-t} (valid for t >= 2) lets the
-quadrature engine skip far-tail nodes without evaluating them.
+node, that node's ln t and the precision, and shared across n.  A decay
+certificate derived from the strict bound K0(t) < sqrt(pi/(2t)) e^{-t}
+(valid for t >= 2) lets the quadrature engine skip far-tail nodes without
+evaluating them.
 
 The integrand's mass sits where K0(t) is about n/2, near t = 2 e^{-gamma-n/2}
 (about 1e-33 at n = 152); the quadrature sweep itself moves its map onto
 mass that far from t = 1 (see `quadrature`).  Each exp-sinh abscissa hands
-over its own ln t, so the certificate takes no logarithm per node.
+over its own ln t, so the certificate takes no logarithm per node, and
+neither does K0 below t = 1: its series reads ln t off the abscissa too,
+and the memo keys on it.
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ from .precision import (
 
 
 @lru_cache(maxsize=400_000)
-def _k0_cached(t_mpf: tuple, prec: int) -> mpf:
+def _k0_cached(t_mpf: tuple, prec: int, ln_mpf: tuple) -> mpf:
     """K0(t) shared across integrals and across n, keyed by the exact
-    binary node t (an mpf's raw tuple) and the working precision.  A miss
-    calls K0 under the name the benchmark's tracer counts."""
-    return functions._log_k0_raw(mpf(t_mpf), prec)
+    binary node t and its carried ln t (mpfs' raw tuples) and the working
+    precision, so each entry is a pure function of its key.  A miss calls
+    K0 under the name the benchmark's tracer counts."""
+    return functions._log_k0_raw(mp.make_mpf(t_mpf), prec, mp.make_mpf(ln_mpf))
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,10 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
         scale = mpmath.exp(prefactor)
         float_prefactor, half_log = float(prefactor), math.log(math.pi / 2) / 2
 
-        def integrand(t: mpf) -> mpf:
-            return scale * t * _k0_cached(t._mpf_, prec) ** n
-
         # t is an exp-sinh abscissa over (0, inf): t.ln is ln t
+        def integrand(t: mpf) -> mpf:
+            return scale * t * _k0_cached(t._mpf_, prec, t.ln._mpf_) ** n
+
         def log_bound(t: mpf) -> float:
             # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail
             # bracket), in floats: a t past the float range gives -inf

@@ -16,11 +16,11 @@ vs. asymptotic), which the test suite exploits as cross-checks:
   absorbed by extra working bits) and the divergent asymptotic series
   truncated at its smallest term (large t); the always-valid integral
   representation  K0(t) = e^{-t} int_0^inf exp(-2t sinh^2(u/2)) du  serves
-  as the arbiter between the two routes.  The ascending series sums on fixed-point
-  integers (a few guard bits past the working precision) and takes gamma
-  from one build per precision, rounded to each call's working precision.
+  as the arbiter between the two routes.  Both routes sum on fixed-point
+  integers; the series takes gamma from one build per precision, truncated
+  to each call's scale.
 
-The gamma, zeta(3) and 2F1 series also run on integers scaled by 2^fp, by
+The gamma, zeta(3), K0 and 2F1 series run on integers scaled by 2^fp, by
 their integer term ratios; for gamma and zeta(3) no step multiplies two big
 numbers:
 
@@ -39,6 +39,34 @@ numbers:
   bits(prec) + 4.  The ratio is below 1/4, so each t_n is within 4/3 ulp,
   and the N ~ fp/2 terms summed until t_n = 0 leave (5/2) sum within 4N <
   2^(bits(prec)+2) ulps: under 2^-(prec+18), returned at prec + 16 bits.
+* K0, ascending series (t below the switch): I0 = sum u_k and W = sum H_k
+  u_k with u_k = u_{k-1} q // k^2, q = t^2/4, at fp = wp + 8, where wp =
+  prec + 2.885t + 16 absorbs the cancellation I0/K0 < e^{2t} = 2^{2.885t}.
+  Each step truncates by under one ulp; u_k inherits its predecessor's
+  error scaled by q/k^2, a relative error while the terms grow and a damped
+  one once they shrink, and H_k is off by at most k ulps, so after K terms
+  each sum is within 3K ulps of I0 of its exact value (measured: under
+  2K).  The combine v = W - ((L I0) >> fp), L = ln t - ln 2 + gamma on the
+  same scale, adds under 3 + |ln t|/16 ulps of L (three truncations and
+  ln t at fp + 4 bits) times I0, and one ulp.  Relative to K0 that is
+  below ((|L| + 1)(3K + 1) + 4) 2^-(prec+23): under 2^-prec while (|L| +
+  1)(3K + 1) < 2^23 - 4, i.e. for up to 39,000 terms even at t = 1e-30;
+  below the switch K is at most 340 for up to 110 digits.  For t < 1 a
+  caller may pass ln t instead: an exp-sinh abscissa's carried ln t is
+  within 2^(1-prec) (1 + |ln t|), and there I0 < 1.27, K0 > 0.42 and
+  I0 (1 + |ln t|) < 3.1 K0, so it moves K0 by under 6.2 2^-prec relative.
+  Past t = 1 the cancellation I0/K0 grows like e^{2t}, so ln t is always
+  taken at fp + 4 bits there.
+* K0, asymptotic correction series (t at or past the switch): |a_k| =
+  (|a_{k-1}| (2k-1)^2 inv8t >> fp) // k with inv8t = floor(2^fp / (8t)),
+  taken from t = m 2^e exactly, fp = prec + 28 and the signs alternating,
+  until a term stops falling (k <= 2t + 1) or drops below 2^-(prec+10).
+  inv8t is off by under one ulp, a relative 8t 2^-fp that the k-th term
+  takes k times, 8kt |a_k| ulps in all: under 2 summed over k for t >= 4.  A step's
+  two floors are under 2 ulps and are carried on scaled by the later
+  ratios (2k-1)^2 / (8kt) < 1, so the K-term sum is within K(K+1) + 2
+  ulps: under 2^-prec while K < 2^14 (measured: under 25 ulps at K =
+  1,643).  sqrt(pi/(2t)) e^-t and the product stay in mpf at prec + 12.
 * 2F1(a, b; c; z): z = m 2^e exactly, from its mpf, and |t_{k+1}| =
   |t_k| |(a+k)(b+k) m| // (|(c+k)(k+1)| 2^-e), the sign kept apart, from
   t_0 = 2^fp until a term floors to 0 (a zero factor included).  Each step
@@ -60,7 +88,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_log, to_fixed
+from mpmath.libmp import from_int, from_man_exp, ln2_fixed, mpf_log, to_fixed
 
 from .precision import (
     BigReal,
@@ -155,7 +183,7 @@ def _k0_cancel_bits(t: float) -> int:
     return int(2.8854 * t) + 16
 
 
-def _k0_series_raw(t: mpf, prec: int) -> mpf:
+def _k0_series_raw(t: mpf, prec: int, switch: float, ln_t: mpf | None) -> mpf:
     """Ascending series K0 = -(ln(t/2)+gamma) I0(t) + sum H_k (t^2/4)^k / (k!)^2.
 
     The two pieces cancel to ~0.87*t decimal digits, absorbed by widening
@@ -163,22 +191,15 @@ def _k0_series_raw(t: mpf, prec: int) -> mpf:
 
     The sums I0 = sum u_k and W = sum H_k u_k, u_k = (t^2/4)^k / (k!)^2, run
     on integers scaled by 2^fp, fp = wp + _K0_GUARD_BITS, the fixed-point
-    idiom of mpmath's own series.  Error bound: each step truncates by under
-    one ulp (2^-fp); u_k inherits its predecessor's error scaled by q/k^2, a
-    relative error while the terms grow and a damped one once they shrink,
-    and H_k is off by at most k ulps.  After K terms each sum is within 3K
-    ulps of I0(t) of its exact value (measured: under 2K).  The combine
-    scales that by (|ln(t/2)+gamma|+1) I0/K0, and I0/K0 < e^{2t} is absorbed
-    by the 2.885t cancellation bits of wp, so the relative error of the
-    value stays below (|ln(t/2)+gamma|+1) 3K 2^-(prec+15+guard): under
-    2^-prec while (|ln(t/2)+gamma|+1) 3K < 2^23, i.e. for up to 39,000
-    terms even at t = 1e-30.  Below the switch K is at most 340 for up to
-    110 digits.  The loop stops once u_k (H_k + 1) < 2^-(wp+6) I0; the guard
-    keeps that threshold at 2^(guard-6) ulps or more, so it is reached.
-    Only ln(t/2), gamma and the final combine are done in mpf, at wp bits.
+    idiom of mpmath's own series, and so does the combine
+    W - (ln t - ln 2 + gamma) I0; see the module docstring for the bound.
+    The loop stops once u_k (H_k + 1) < 2^-(wp+6) I0; the guard keeps that
+    threshold at 2^(guard-6) ulps or more, so it is reached.  ln t is
+    `ln_t` when given (a caller passes one only for t < 1), else
+    mpf_log(t) at fp + 4 bits.
 
     gamma is built once per `prec`, at the widest wp any t below the
-    series/asymptotic switch needs; each call rounds it to its own wp.
+    series/asymptotic `switch` needs; each call truncates it to its own fp.
     """
     wp = prec + _k0_cancel_bits(float(t))
     fp = wp + _K0_GUARD_BITS
@@ -198,49 +219,56 @@ def _k0_series_raw(t: mpf, prec: int) -> mpf:
         s_weighted += uh
         if uh + u < s_plain >> shift:
             break
-    gamma = _euler_gamma_raw(max(wp, prec + _k0_cancel_bits(_k0_switch(prec))))
-    with mp.workprec(wp):
-        gamma = +gamma
-        i0 = mpf(from_man_exp(s_plain, -fp))
-        w = mpf(from_man_exp(s_weighted, -fp))
-        v = +(-(mpmath.ln(t / 2) + gamma) * i0 + w)
-    return v
+    gamma = _euler_gamma_raw(max(wp, prec + _k0_cancel_bits(switch)))
+    ln = ln_t._mpf_ if ln_t is not None else mpf_log(t._mpf_, fp + 4)
+    ln_half_gamma = to_fixed(ln, fp) - ln2_fixed(fp) + to_fixed(gamma._mpf_, fp)
+    v = s_weighted - ((ln_half_gamma * s_plain) >> fp)
+    return mp.make_mpf(from_man_exp(v, -fp, wp, "n"))
 
 
-def _k0_asymptotic_terms(t: mpf, prec: int):
+def _k0_asymptotic_terms(t: mpf, prec: int) -> mpf:
     """Sum of the asymptotic correction series 1 - 1/(8t) + 9/(128 t^2) - ...
 
-    Truncated at the smallest term.  Only meaningful when that smallest term
-    is below the needed accuracy, i.e. t is past the switch point.
+    Truncated at the smallest term, or once a term is below 2^-(prec+10).
+    Only meaningful when that smallest term is below the needed accuracy,
+    i.e. t is past the switch point.  Summed on integers scaled by 2^fp,
+    fp = prec + 28, from 1/(8t) = 2^-(e+3)/m for t = m 2^e; see the module
+    docstring for the bound.  Returned rounded to prec + 12 bits.
     """
-    with mp.workprec(prec + 12):
-        a = mpf(1)
-        s = mpf(1)
-        smallest = mpf(1)
-        floor_ = mpmath.ldexp(1, -(prec + 10))
-        k = 0
-        while True:
-            k += 1
-            a = a * (-((2 * k - 1) ** 2)) / (8 * k * t)
-            mag = abs(a)
-            if mag >= smallest:  # divergence onset: stop before the terms grow back
-                break
-            s += a
-            smallest = mag
-            if mag < floor_:
-                break
-        return +s
+    fp = prec + 28
+    _, m, e, _ = t._mpf_
+    inv8t = (1 << (fp - 3 - e)) // m if fp - 3 - e >= 0 else 0
+    a = s = smallest = 1 << fp  # a is |term|; the signs alternate
+    floor_ = 1 << (fp - prec - 10)
+    k = 0
+    while True:
+        k += 1
+        a = ((a * (2 * k - 1) ** 2 * inv8t) >> fp) // k
+        if a >= smallest:  # divergence onset: stop before the terms grow back
+            break
+        s += a if k % 2 == 0 else -a
+        smallest = a
+        if a < floor_:
+            break
+    return mp.make_mpf(from_man_exp(s, -fp, prec + 12, "n"))
 
 
 def _k0_switch(prec: int) -> float:
     return K0_SWITCH_SLOPE * _digits_for_bits(prec) + 4.0
 
 
-def _k0_raw(t: mpf, prec: int) -> mpf:
+def _k0_raw(t: mpf, prec: int, ln_t: mpf | None = None) -> mpf:
     """K0(t) to prec bits: the ascending series below the switch, else
-    sqrt(pi/(2t)) e^-t times the asymptotic correction series."""
-    if float(t) < _k0_switch(prec):
-        return _k0_series_raw(t, prec)
+    sqrt(pi/(2t)) e^-t times the asymptotic correction series.
+
+    `ln_t`, ln t to about prec bits such as an exp-sinh abscissa carries,
+    spares the series its logarithm; it is read only for t < 1, where I0 <
+    1.27 and K0 > 0.42 keep its error from growing (module docstring).
+    """
+    tf = float(t)
+    switch = _k0_switch(prec)
+    if tf < switch:
+        return _k0_series_raw(t, prec, switch, ln_t if tf < 1 else None)
     s = _k0_asymptotic_terms(t, prec)
     with mp.workprec(prec + 12):
         return +(mpmath.sqrt(mpmath.pi / (2 * t)) * mpmath.exp(-t) * s)

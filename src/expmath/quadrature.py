@@ -47,11 +47,16 @@ largest of three terms (after Bailey, Jeyabalan and Li, Experimental Math.
 The sweep stops at the first level whose E_m is at most the tolerance,
 max(eps * scale, the roundoff term), and reports E_m as the result's
 `error_estimate`.  A level whose node table ends before the quiet-tail
-cut, with its last pair still at or above the cut's floor, cannot stop the
-sweep: every level misses the mass past that node alike, so no d_m shows
-it.  For an integrand the map resolves E_m bounds |value - integral|; it
-is an estimate, not a proof, and a sum that misses mass its nodes never
-reach, such as a spike between them, is not bounded by it.
+cut, with its last pair still at or above the cut's floor, is loud: every
+level misses the mass past that node alike, so no d_m shows it, and every
+later table ends at the same cut.  A loud level m >= 1 ends the sweep with
+converged=False.  Level 0 is exempt: the cut's floor on a pair is
+term_floor / h, so level 0 holds its pairs to a floor 2^m times lower than
+level m does, and a level-0 end can be loud where the finer ones are not
+(C_4096 at 30 digits).  For an integrand the map resolves E_m bounds
+|value - integral|; it is an estimate, not a proof, and a sum that misses
+mass its nodes never reach, such as a spike between them, is not bounded
+by it.
 
 All summation is sequential in a fixed node order, so results are exactly
 reproducible run to run.
@@ -370,6 +375,8 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                 if not loud and err <= max(eps * scale_est, roundoff):
                     converged = True
                     break
+                if loud:
+                    break  # every later table ends at the same cut
             prev = total
             term_floor = eps * scale_est / 16
             log_term_floor = float(mpmath.ln(term_floor))

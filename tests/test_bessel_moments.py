@@ -366,13 +366,13 @@ class TestBitIdentity:
 
     PINNED = {
         (1, 30, 25): "68e8e3759334e12187c37b8eac5d35c7e12abcb9fb8ee2cea745890e28917061",
-        (2, 30, 25): "d3fffbba67eb5cad908e659a83fc6398896f1685fe6d3bf551438ab4dd914951",
+        (2, 30, 25): "aac346bab686e2ddbde7385219aae4c72eecac6ede77e563ca0dd0857dec7d2d",
         (3, 30, 25): "f206028b8d5c98f927ac0b76561592d1823d59b8effc13d0f1bb6f446af738fb",
         (4, 30, 25): "4dbe4cb8c040563b8d66144ac5f553ac60d3a19d0eea59e7d057e4b6f62639f4",
-        (8, 30, 25): "7bac24410ee071f0be8cb762fbd9d7763a31dd5ddc5a09a2b9d09ef61bdf3392",
+        (8, 30, 25): "cfcb87e2597165a172cc1d10e4a65a44c579ca7955782183acef82f705facd55",
         (20, 30, 25): "7c8704b38c4699a686bb27c58bfdf48d3f4d5ab9cf3bbdb26f84ecd7aac84e5d",
         (4, 60, 52): "6de5c7f2a6eb5bce3d670b1115ed1de79fc733c14a4b21190dedb05875a9bd9c",
-        (150, 30, 25): "4c159d3da66ea26d182cff1aa72ca62a27834f42e7f49554c95078f256e8d224",
+        (150, 30, 25): "cc7eeac8f10cec91b9596563e5ec1cf20c579da9e69b58137880c886a0fc249b",
     }
 
     @staticmethod

@@ -215,6 +215,54 @@ class TestBesselK0:
             functions.bessel_k0(-1, ctx)
 
 
+def _within_ulps(ours, t, prec, ulps=4):
+    """|ours - K0(t)| <= ulps units in the last place of K0(t) at prec bits,
+    against mpmath's besselk at prec + 60."""
+    with mp.workprec(prec + 60):
+        ref = mpmath.besselk(0, t)
+        return abs(ours - ref) <= mpmath.ldexp(ulps, mpmath.mag(ref) - prec)
+
+
+class TestK0Kernels:
+    """_k0_raw's fixed-point kernels, with and without a carried ln t, keep
+    K0 within 4 ulps at prec on both routes."""
+
+    @settings(max_examples=40)
+    @given(prec=st.integers(116, 332), position=st.floats(0, 1), carried=st.booleans())
+    def test_log_uniform_argument(self, prec, position, carried):
+        # t log-uniform in [1e-40, 1e4], across the series/asymptotic switch
+        with mp.workprec(prec):
+            t = mpf(10) ** (-40 + 44 * mpf(position))
+            ln_t = mpmath.ln(t) if carried else None
+        assert _within_ulps(functions._k0_raw(t, prec, ln_t), t, prec)
+
+    @settings(max_examples=40)
+    @given(prec=st.integers(116, 332), level=st.integers(0, 3),
+           index=st.integers(0, 60), j=st.integers(-120, 0))
+    def test_moved_small_side_abscissa(self, prec, level, index, j):
+        # the abscissae c_n hands K0: an exp-sinh table's small side x = e^-a
+        # moved by 2^j, carrying x.ln + j ln 2 as the sweep forms it
+        nodes = list(quadrature._nodes("es", prec, level))
+        x = nodes[index % len(nodes)][3]
+        with mp.workprec(prec):
+            t = quadrature._LogAbscissa(mpmath.ldexp(x, j), x.ln + j * mpmath.ln(2))
+        assert _within_ulps(functions._k0_raw(t, prec, t.ln), t, prec)
+        assert _within_ulps(functions._k0_raw(t, prec), t, prec)
+
+    @settings(max_examples=8)
+    @given(prec=st.integers(116, 200), offset=st.floats(-0.01, 0.01))
+    def test_either_side_of_the_switch(self, prec, offset):
+        # the series' worst cancellation just below the switch, the
+        # asymptotic series' fewest terms just above; a carried ln is read
+        # only below t = 1, so it changes nothing here
+        with mp.workprec(prec):
+            t = mpf(functions._k0_switch(prec) * (1 + offset))
+            ln_t = mpmath.ln(t)
+        ours = functions._k0_raw(t, prec)
+        assert functions._k0_raw(t, prec, ln_t) == ours
+        assert _within_ulps(ours, t, prec)
+
+
 class TestHyp2F1:
     def test_matches_library(self):
         # z = 23/64 is exactly representable in binary, so both routes see

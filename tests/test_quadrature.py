@@ -325,6 +325,8 @@ class TestTableEnd:
                 exact = mpmath.gamma(mpf("0.05"))
             assert abs(r.value.value - exact) > eps * exact
         assert not r.converged
+        # level 1 is as loud, and every later table ends at the same cut
+        assert r.levels_used == 1
 
 
 class TestErrorEstimateContract:

@@ -37,16 +37,22 @@ def test_failing_property_test_does_not_end_the_session(tmp_path):
 
 def test_benchmark_tracer_hooks_exist(tmp_path):
     # the tracer wraps private names in src/ by name; a rename fails here
-    # as well as in the traced benchmark pass
+    # as well as in the traced benchmark pass.  Each K0 memo miss goes
+    # through the traced name with its carried ln t, so the traced count is
+    # the memo's own miss count.
     script = textwrap.dedent("""
         import tracing
         from expmath import bessel_moments
         from expmath.precision import PrecisionContext
 
         t = tracing.install()
-        bessel_moments._k0_cached.cache_clear()
-        bessel_moments.c_n(4, PrecisionContext.from_digits(20))
-        assert tracing.layer_sums(t.spans)["functions.log_k0_calls"] > 0
+        memo = bessel_moments._k0_cached
+        memo.cache_clear()
+        before = memo.cache_info().misses
+        bessel_moments.c_n(4, PrecisionContext.from_digits(30))
+        misses = memo.cache_info().misses - before
+        calls = tracing.layer_sums(t.spans)["functions.log_k0_calls"]
+        assert calls == misses > 0, (calls, misses)
     """)
     proc = _python(["-c", script], tmp_path, [str(ROOT / "src"), str(ROOT / "perfbench")])
     assert proc.returncode == 0, proc.stderr
