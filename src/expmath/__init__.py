@@ -6,6 +6,8 @@ optimizer, integer-relation recognition, and digit walks.
 Every public name and every submodule loads on first access (PEP 562), so
 ``import expmath`` loads no submodule and a process pays only for the
 modules it uses: numpy, most of a cold start, only for the optimizer.
+A CLI command is a cold process that starts in about 62 ms (interpreter
+42, mpmath 20), so records avoid ``dataclasses`` (``precision.record``).
 """
 
 import sys

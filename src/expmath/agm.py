@@ -30,7 +30,6 @@ returned at prec + 32 bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -45,17 +44,18 @@ from .precision import (
     PrecisionError,
     as_mpf,
     make_real,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class AGMState:
     a: mpf
     b: mpf
     iteration: int
 
 
-@dataclass(frozen=True)
+@record
 class PiResult:
     value: BigReal
     iterations: int

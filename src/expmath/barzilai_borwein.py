@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .precision import DomainError, NumericsError
+from .precision import DomainError, NumericsError, record
 
 
 class DegenerateStepError(NumericsError):
@@ -56,14 +55,14 @@ _SAFEGUARD_MEMORY = 10
 _SAFEGUARD_HALVINGS = 30
 
 
-@dataclass(frozen=True)
+@record
 class ObjectiveFunction:
     dimension: int
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@record
 class MinimizeResult:
     x: np.ndarray
     fx: float

@@ -28,7 +28,6 @@ and the memo keys on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -40,6 +39,7 @@ from .precision import (
     ConvergenceError,
     PrecisionContext,
     make_real,
+    record,
 )
 
 
@@ -52,7 +52,7 @@ def _k0_cached(t_mpf: tuple, prec: int, ln_mpf: tuple) -> mpf:
     return functions._log_k0_raw(mp.make_mpf(t_mpf), prec, mp.make_mpf(ln_mpf))
 
 
-@dataclass(frozen=True)
+@record
 class CnRecord:
     n: int
     value: BigReal

@@ -20,7 +20,6 @@ pure functions of the path, identical bytes on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import agm, functions
 from .precision import (
@@ -31,13 +30,14 @@ from .precision import (
     _radix_digits,
     _radix_value,
     _to_ratio,
+    record,
 )
 
 #: digit value -> unit step (east, north, west, south)
 DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-@dataclass(frozen=True)
+@record
 class DigitStream:
     constant: str
     base: int
@@ -48,8 +48,9 @@ class DigitStream:
             raise ValueError("digit out of range for base")
 
 
-@dataclass(frozen=True)
+@record
 class WalkPath:
+    #: lattice points (x, y) from the origin; each step changes x or y by 1
     points: tuple
 
 
@@ -204,7 +205,9 @@ def _bounding_box(points):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _pixel_mapper(points, width, height):
+def _pixel_axes(points, width, height):
+    """{x: pixel column} and {y: pixel row} over the path's bounding box,
+    which the render fits inside the image with a 5% margin."""
     x0, y0, x1, y1 = _bounding_box(points)
     span_x = max(1, x1 - x0)
     span_y = max(1, y1 - y0)
@@ -214,49 +217,43 @@ def _pixel_mapper(points, width, height):
     scale = max(scale, 1e-9)
     off_x = (width - 1 - scale * (x1 - x0)) / 2.0
     off_y = (height - 1 - scale * (y1 - y0)) / 2.0
-
-    def to_pixel(p):
-        px = off_x + scale * (p[0] - x0)
-        py = (height - 1) - (off_y + scale * (p[1] - y0))  # image rows grow downward
-        return int(round(px)), int(round(py))
-
-    return to_pixel
-
-
-def _draw_segment(buf, width, height, a, b, rgb):
-    (x0, y0), (x1, y1) = a, b
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    while True:
-        if 0 <= x0 < width and 0 <= y0 < height:
-            i = 3 * (y0 * width + x0)
-            buf[i : i + 3] = bytes(rgb)
-        if x0 == x1 and y0 == y1:
-            return
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
+    cols = {x: int(round(off_x + scale * (x - x0))) for x in range(x0, x1 + 1)}
+    # image rows grow downward
+    rows = {y: int(round((height - 1) - (off_y + scale * (y - y0)))) for y in range(y0, y1 + 1)}
+    return cols, rows
 
 
 def _render_ppm(path: WalkPath, width: int, height: int, color_mode: str) -> bytes:
+    """Each step as a horizontal or vertical pixel run, in the colour of the
+    last step through each pixel.
+
+    A step moves along one axis and a pixel's column depends on x alone,
+    its row on y alone, so every step covers a run of pixels.  Runs are
+    painted from the last step back, each claiming the pixels no later step
+    took, and a step's hue is computed only when it claims one.  No step's
+    colour is white (each hue has a zero channel), so a pixel is unclaimed
+    while it is white.
+    """
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     buf = bytearray(b"\xff") * (3 * width * height)
-    to_pixel = _pixel_mapper(path.points, width, height)
-    pts = [to_pixel(p) for p in path.points]
+    cols, rows = _pixel_axes(path.points, width, height)
+    pts = path.points
     nseg = max(1, len(pts) - 1)
-    for i in range(len(pts) - 1):
-        if color_mode == "progress":
-            rgb = _hue_rgb(i / nseg)
+    for i in range(len(pts) - 2, -1, -1):
+        (xa, ya), (xb, yb) = pts[i], pts[i + 1]
+        ca, cb, ra, rb = cols[xa], cols[xb], rows[ya], rows[yb]
+        if ra == rb:
+            start, end, step = ra * width + min(ca, cb), ra * width + max(ca, cb), 1
+        elif ca == cb:
+            start, end, step = min(ra, rb) * width + ca, max(ra, rb) * width + ca, width
         else:
-            rgb = (0, 0, 0)
-        _draw_segment(buf, width, height, pts[i], pts[i + 1], rgb)
+            raise DomainError("a walk step moves along one axis")
+        rgb = None
+        for j in range(3 * start, 3 * end + 3, 3 * step):
+            if buf[j] & buf[j + 1] & buf[j + 2] == 255:
+                if rgb is None:
+                    rgb = bytes(_hue_rgb(i / nseg)) if color_mode == "progress" else b"\0\0\0"
+                buf[j : j + 3] = rgb
     return header + buf  # bytes, with one copy of the pixels
 
 

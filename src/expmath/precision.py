@@ -11,15 +11,18 @@ significant digits, and the rounded mantissa becomes digits by the same radix
 splitting as digit extraction), so rendered strings are reproducible
 bit-for-bit, independent of any formatting library.  Parsing matches `mpf(text)`
 bit for bit.  Neither side meets CPython's limit on int/str conversion.
+
+Every result type in the package is an immutable :func:`record`.  Records
+are made here, not with `dataclasses`, because every CLI command is a cold
+process: importing `dataclasses` loads inspect and ast, and it builds each
+class by exec'ing generated methods, about 7 ms plus 0.8 ms a class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar
 
 import mpmath
 from mpmath import mp, mpf
@@ -52,7 +55,67 @@ class TailBoundError(NumericsError):
     """An integrand exceeded the decay bound its caller certified."""
 
 
-@dataclass(frozen=True)
+def record(cls=None, *, uncompared=()):
+    """Make `cls` an immutable record of the fields its body annotates.
+
+    Fields are taken positionally or by keyword, in annotation order; a
+    field the body also assigns has that value as its default.  After the
+    fields are set, ``__post_init__`` runs if the class defines it.
+    Assigning or deleting an attribute raises AttributeError.  Records of
+    one class compare and hash field by field, leaving out the fields named
+    in `uncompared`.  A method the class body defines, such as its own
+    ``__repr__``, is kept.  This is the contract of a frozen dataclass,
+    without importing `dataclasses` (see the module docstring).
+    """
+    if cls is None:
+        return lambda c: record(c, uncompared=uncompared)
+    name = cls.__qualname__
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    compared = tuple(n for n in names if n not in uncompared)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{name} takes {len(names)} fields, got {len(args)}")
+        fields = dict(defaults)
+        fields.update(zip(names, args))
+        for k, v in kwargs.items():
+            if k not in names or names.index(k) < len(args):
+                raise TypeError(f"{name} got an unknown or repeated field {k!r}")
+            fields[k] = v
+        if len(fields) < len(names):
+            raise TypeError(f"{name} is missing {[n for n in names if n not in fields]}")
+        self.__dict__.update(fields)
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, k, v):
+        raise AttributeError(f"{name} is immutable: cannot set {k!r}")
+
+    def __delattr__(self, k):
+        raise AttributeError(f"{name} is immutable: cannot delete {k!r}")
+
+    def key(self):
+        return tuple(getattr(self, n) for n in compared)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({shown})"
+
+    for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
+@record
 class PrecisionContext:
     """Working precision threaded explicitly through every operation.
 
@@ -71,7 +134,7 @@ class PrecisionContext:
 
     bits: int
     target_digits: int
-    guard_digits: ClassVar[int] = 10
+    guard_digits = 10
 
     def __post_init__(self) -> None:
         if self.bits < 64:
@@ -96,7 +159,7 @@ class PrecisionContext:
         return PrecisionContext.from_digits(self.target_digits + extra_digits)
 
 
-@dataclass(frozen=True)
+@record
 class BigReal:
     """An arbitrary-precision real paired with the precision it was computed at."""
 

@@ -65,7 +65,6 @@ reproducible run to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Callable, Optional
@@ -81,6 +80,7 @@ from .precision import (
     TailBoundError,
     as_mpf,
     make_real,
+    record,
 )
 
 #: The deepest refinement level a sweep reaches before it reports
@@ -129,7 +129,7 @@ class _LogAbscissa(mpf):
         return self
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureRule:
     """Materialized abscissa/weight table at one refinement level on (-1, 1)."""
 
@@ -138,7 +138,7 @@ class QuadratureRule:
     nodes: tuple  # ((abscissa, weight), ...) sorted by abscissa
 
 
-@dataclass(frozen=True)
+@record
 class IntegralResult:
     value: BigReal
     #: E_m at the last level, the largest of the rate, tail-cut and roundoff
@@ -151,7 +151,7 @@ class IntegralResult:
     level_differences: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class DecayCertificate:
     """Caller-certified bound ln|f(x)| <= log_bound(x) for x >= beyond.
 

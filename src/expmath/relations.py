@@ -16,7 +16,6 @@ rendered as the implied closed form ("2*exp(-2*gamma)").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,6 +30,7 @@ from .precision import (
     PrecisionError,
     as_mpf,
     make_real,
+    record,
 )
 
 #: No relation with any coefficient beyond this is ever reported.
@@ -40,17 +40,17 @@ COEFFICIENT_CAP = 10 ** 6
 SAFETY_DIGITS = 15
 
 
-@dataclass(frozen=True)
+@record(uncompared=("value",))
 class BasisConstant:
     """A named constant that can be regenerated at any precision."""
 
     name: str
     render: str
     make: Callable[[PrecisionContext], BigReal]
-    value: BigReal = field(compare=False)
+    value: BigReal
 
 
-@dataclass(frozen=True)
+@record
 class RecognitionMatch:
     coefficients: tuple
     residual: BigReal

@@ -30,7 +30,6 @@ x (N+1) factors x working bits, passes _PANEL_CAP.  Both check the power sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,6 +46,7 @@ from .precision import (
     _to_ratio,
     as_mpf,
     make_real,
+    record,
 )
 
 #: Largest N evaluated in closed form on both sides, from `_power_sums`.
@@ -69,7 +69,7 @@ _SCAN_PREC_CAP = 4096
 _GAMMA_ESTIMATE = 0.5772156649015329
 
 
-@dataclass(frozen=True)
+@record
 class SincIdentityReport:
     N: int
     lhs: BigReal

@@ -845,15 +845,23 @@ def _fresh_python(*args):
 class TestImportHygiene:
     """Every public name and submodule loads on first access, and each
     subcommand loads only the modules it runs: numpy, most of a cold start,
-    only for the float-regime optimizer."""
+    only for the float-regime optimizer.  Records are built without
+    `dataclasses`, so nothing but numpy loads it or the inspect module."""
+
+    #: loaded by numpy, so by `bb`, and by no other command
+    NUMPY_ONLY = {"numpy", "dataclasses", "inspect"}
 
     @staticmethod
     def _loaded(*args):
-        """The expmath modules, and numpy, that a fresh interpreter imports."""
+        """The expmath modules, numpy, dataclasses and inspect that a fresh
+        interpreter imports."""
         # -X importtime names every module the process imports, on stderr
         stderr = _fresh_python("-X", "importtime", *args).stderr.decode()
         modules = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()}
-        return {m for m in modules if m == "numpy" or m.split(".")[0] == "expmath"}
+        return {
+            m for m in modules
+            if m in TestImportHygiene.NUMPY_ONLY or m.split(".")[0] == "expmath"
+        }
 
     @pytest.mark.parametrize(
         "argv, loads_numpy",
@@ -871,10 +879,20 @@ class TestImportHygiene:
         ids=["cinf", "threshold", "walk", "bb", "cn", "sinc", "agm", "recognize", "quad"],
     )
     def test_numpy_only_for_bb(self, argv, loads_numpy):
-        assert ("numpy" in self._loaded("-m", "expmath", *argv)) is loads_numpy
+        loaded = self._loaded("-m", "expmath", *argv)
+        if loads_numpy:
+            assert "numpy" in loaded
+        else:
+            assert not loaded & self.NUMPY_ONLY
 
     def test_package_import_loads_no_submodule_and_no_numpy(self):
         assert self._loaded("-c", "import expmath") == {"expmath"}
+
+    @pytest.mark.parametrize(
+        "module", [m for m in expmath._EXPORTS if m != "barzilai_borwein"]
+    )
+    def test_module_import_loads_no_dataclasses(self, module):
+        assert not self._loaded("-c", f"import expmath.{module}") & self.NUMPY_ONLY
 
     @pytest.mark.parametrize(
         "argv, runs",

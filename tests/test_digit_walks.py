@@ -7,7 +7,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expmath import digit_walks, precision
 from expmath.precision import DomainError, PrecisionContext, PrecisionError
@@ -270,6 +270,71 @@ class TestRenderPpm:
             digit_walks.render(path, format="png")
         with pytest.raises(DomainError):
             digit_walks.render(path, format="ppm", color_mode="rainbow")
+
+
+def _reference_ppm(points, width, height, color_mode):
+    """The PPM render as it was drawn before runs: every segment by
+    Bresenham's loop, first to last, each overwriting the pixels it
+    crosses."""
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+    margin_x, margin_y = max(1.0, 0.05 * width), max(1.0, 0.05 * height)
+    scale = min((width - 1 - 2 * margin_x) / max(1, x1 - x0),
+                (height - 1 - 2 * margin_y) / max(1, y1 - y0))
+    scale = max(scale, 1e-9)
+    off_x = (width - 1 - scale * (x1 - x0)) / 2.0
+    off_y = (height - 1 - scale * (y1 - y0)) / 2.0
+    pts = [
+        (int(round(off_x + scale * (x - x0))),
+         int(round((height - 1) - (off_y + scale * (y - y0)))))
+        for x, y in points
+    ]
+    buf = bytearray(b"\xff") * (3 * width * height)
+    nseg = max(1, len(pts) - 1)
+    for i in range(len(pts) - 1):
+        rgb = digit_walks._hue_rgb(i / nseg) if color_mode == "progress" else (0, 0, 0)
+        (xa, ya), (xb, yb) = pts[i], pts[i + 1]
+        dx, dy = abs(xb - xa), -abs(yb - ya)
+        sx, sy = (1 if xa < xb else -1), (1 if ya < yb else -1)
+        err = dx + dy
+        while True:
+            if 0 <= xa < width and 0 <= ya < height:
+                k = 3 * (ya * width + xa)
+                buf[k : k + 3] = bytes(rgb)
+            if xa == xb and ya == yb:
+                break
+            e2 = 2 * err
+            if e2 >= dy:
+                err += dy
+                xa += sx
+            if e2 <= dx:
+                err += dx
+                ya += sy
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + buf
+
+
+class TestRenderPpmRuns:
+    """The run painter against the Bresenham loop it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        legs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 30)), min_size=1, max_size=60),
+        width=st.integers(16, 160),
+        height=st.integers(16, 160),
+        color_mode=st.sampled_from(["progress", "mono"]),
+    )
+    # below one pixel per step (a 200-step line on 16 px) and above it
+    @example(legs=[(0, 200), (1, 3)], width=16, height=16, color_mode="progress")
+    @example(legs=[(0, 3), (1, 2), (2, 1)], width=128, height=40, color_mode="mono")
+    def test_matches_bresenham_reference(self, legs, width, height, color_mode):
+        digits = tuple(d for d, run in legs for _ in range(run))
+        path = digit_walks.walk(digit_walks.DigitStream("x", 4, digits))
+        got = digit_walks.render(path, format="ppm", size=(width, height), color_mode=color_mode)
+        assert got == _reference_ppm(path.points, width, height, color_mode)
+
+    def test_rejects_a_diagonal_step(self):
+        with pytest.raises(DomainError, match="one axis"):
+            digit_walks.render(digit_walks.WalkPath(((0, 0), (1, 1))), format="ppm", size=16)
 
 
 class TestRenderSvg:

@@ -8,6 +8,15 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
+from expmath import (
+    agm,
+    barzilai_borwein,
+    bessel_moments,
+    digit_walks,
+    quadrature,
+    relations,
+    sinc_identity,
+)
 from expmath.precision import (
     BigReal,
     DomainError,
@@ -40,6 +49,115 @@ class TestPrecisionContext:
         wide = ctx.widened(20)
         assert wide.target_digits == 50
         assert wide.bits > ctx.bits
+
+
+def _real(x, bits=64):
+    return BigReal(mpf(x), bits)
+
+
+#: every record, as (class, its fields by keyword, one field changed)
+_RECORDS = [
+    (PrecisionContext, {"bits": 100, "target_digits": 5}, {"bits": 101}),
+    (BigReal, {"value": mpf(1) / 3, "computed_at_bits": 64}, {"computed_at_bits": 65}),
+    (quadrature.QuadratureRule, {"level": 2, "h": mpf(0.25), "nodes": ((mpf(0), mpf(1)),)},
+     {"level": 3}),
+    (quadrature.IntegralResult,
+     {"value": _real(1), "error_estimate": _real(0), "levels_used": 3, "converged": True,
+      "level_differences": (_real(2),)},
+     {"converged": False}),
+    (quadrature.DecayCertificate, {"beyond": 1.0, "log_bound": abs}, {"beyond": 2.0}),
+    (bessel_moments.CnRecord, {"n": 1, "value": _real(1), "error_estimate": _real(0)},
+     {"n": 2}),
+    (agm.AGMState, {"a": mpf(2), "b": mpf(1), "iteration": 0}, {"iteration": 1}),
+    (agm.PiResult, {"value": _real(3), "iterations": 3, "per_iteration_error": (1e-3,)},
+     {"iterations": 4}),
+    (sinc_identity.SincIdentityReport,
+     {"N": 1, "lhs": _real(1), "rhs": _real(1), "difference": _real(0),
+      "truncation_bound": _real(0)},
+     {"N": 2}),
+    (digit_walks.DigitStream, {"constant": "pi", "base": 10, "digits": (3, 1, 4)},
+     {"digits": (3, 1, 5)}),
+    (digit_walks.WalkPath, {"points": ((0, 0), (1, 0))}, {"points": ((0, 0),)}),
+    (relations.BasisConstant, {"name": "pi", "render": "pi", "make": abs, "value": _real(3)},
+     {"render": "π"}),
+    (relations.RecognitionMatch,
+     {"coefficients": (1, -2), "residual": _real(0), "confidence_digits": 30,
+      "rendering": "x = 2"},
+     {"confidence_digits": 31}),
+    (barzilai_borwein.ObjectiveFunction, {"dimension": 2, "evaluate": abs, "gradient": abs},
+     {"dimension": 3}),
+    (barzilai_borwein.MinimizeResult,
+     {"x": (0.0, 0.0), "fx": 0.0, "iterations": 1, "converged": True,
+      "trace": ((0, 0.0, 0.0, 1.0),)},
+     {"fx": 1.0}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, change", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+class TestRecordContract:
+    def test_positional_and_keyword_construction_agree(self, cls, fields, change):
+        by_name, by_place = cls(**fields), cls(*fields.values())
+        assert by_name == by_place and hash(by_name) == hash(by_place)
+        assert all(getattr(by_place, k) is v for k, v in fields.items())
+        assert by_name != cls(**{**fields, **change})
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, fields, change):
+        rec = cls(**fields)
+        for k in [*fields, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(rec, k, 0)
+            with pytest.raises(AttributeError):
+                delattr(rec, k)
+        assert all(getattr(rec, k) is v for k, v in fields.items())
+
+    def test_construction_checks_its_fields(self, cls, fields, change):
+        with pytest.raises(TypeError):
+            cls(*fields.values(), 0)
+        with pytest.raises(TypeError):
+            cls(*fields.values(), **{next(iter(fields)): 0})
+        with pytest.raises(TypeError):
+            cls(**fields, extra=0)
+        with pytest.raises(TypeError):
+            cls(**dict(list(fields.items())[1:]))
+
+
+class TestRecords:
+    def test_integral_result_defaults_level_differences(self):
+        r = quadrature.IntegralResult(_real(1), _real(0), 0, True)
+        assert r.level_differences == ()
+
+    def test_basis_constant_compares_without_its_value(self):
+        a = relations.BasisConstant("pi", "pi", abs, _real(3))
+        b = relations.BasisConstant("pi", "pi", abs, _real(4))
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PrecisionContext(bits=63, target_digits=5),
+            lambda: bessel_moments.CnRecord(1, _real("0.63"), _real(0)),
+            lambda: bessel_moments.CnRecord(1, _real("2.01"), _real(0)),
+            lambda: digit_walks.DigitStream("pi", 4, (3, 4)),
+            lambda: relations.RecognitionMatch((2, -4), _real(0), 30, "x = 2"),
+        ],
+        ids=["context-bits", "cn-low", "cn-high", "digit-range", "match-gcd"],
+    )
+    def test_post_init_validation_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_repr(self):
+        third = BigReal(mp.make_mpf(from_rational(1, 3, 64, round_nearest)), 64)
+        assert repr(third) == "BigReal(0.33333333333333333, bits=64)"
+        assert str(third) == "0.33333333333333333"
+        assert repr(PrecisionContext(100, 5)) == "PrecisionContext(bits=100, target_digits=5)"
+        assert repr(digit_walks.WalkPath(((0, 0),))) == "WalkPath(points=((0, 0),))"
+
+    def test_guard_digits_is_a_class_constant_not_a_field(self):
+        ctx = PrecisionContext(100, 5)
+        assert ctx.guard_digits == PrecisionContext.guard_digits == 10
+        with pytest.raises(TypeError):
+            PrecisionContext(100, 5, 10)
 
 
 class TestRendering:
