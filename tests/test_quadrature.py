@@ -1,14 +1,16 @@
 """Quadrature engine: known integrals, endpoint singularities, tail policy."""
 
+import hashlib
 import math
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from expmath import quadrature
+from expmath import functions, quadrature
 from expmath.precision import (
     ConvergenceError,
     IntegrandError,
@@ -327,6 +329,38 @@ class TestTableEnd:
         assert not r.converged
         # level 1 is as loud, and every later table ends at the same cut
         assert r.levels_used == 1
+
+    @settings(max_examples=25)
+    @given(
+        family=st.sampled_from(["log_power", "gamma"]),
+        alpha=st.floats(-0.99, 3), k=st.integers(0, 6),
+        s=st.floats(0.2, 5), j=st.integers(-60, 60),
+        digits=st.integers(15, 40),
+    )
+    def test_no_converged_result_misses_the_tolerance(self, family, alpha, k, s, j, digits):
+        # x^alpha (-ln x)^k on (0, 1) is k!/(alpha+1)^(k+1), and
+        # x^(s-1) e^(-2^j x) on (0, inf) is Gamma(s)/2^(js): mass as close
+        # to an endpoint, or as far from x = 1, as the map resolves and past
+        # it; whatever the sweep reports as converged is within
+        # eps max(1, |I|), with eps = 10^-(digits-5)
+        ctx = PrecisionContext.from_digits(digits)
+        with mp.workprec(ctx.bits + 16):
+            eps = mpf(10) ** -(digits - 5)
+            if family == "log_power":
+                a = mpf(alpha)
+                r = quadrature.integrate_finite(
+                    lambda x: x ** a * (-mpmath.ln(x)) ** k, 0, 1, eps, ctx)
+            else:
+                sv, beta = mpf(s), mpmath.ldexp(1, j)
+                r = quadrature.integrate_semi_infinite(
+                    lambda x: x ** (sv - 1) * mpmath.exp(-beta * x), 0, eps, ctx)
+        if r.converged:
+            with mp.workprec(ctx.bits + 32):
+                if family == "log_power":
+                    exact = mpmath.factorial(k) / (a + 1) ** (k + 1)
+                else:
+                    exact = mpmath.gamma(sv) / beta ** sv
+                assert abs(r.value.value - exact) <= eps * max(1, abs(exact))
 
 
 class TestErrorEstimateContract:
@@ -709,3 +743,89 @@ class TestRuleTable:
         ctx = PrecisionContext.from_digits(30)
         with pytest.raises(ValueError):
             quadrature.tanh_sinh_rule(-1, ctx)
+
+
+class TestBitIdentity:
+    """The sha256 of each sweep's raw (value, error) mpf tuples, for sweeps
+    no `c_n` digest covers: both endpoint singularities of the finite map,
+    the exp-sinh map from 0 and from a nonzero start, whose exact shift the
+    pin holds too, and the certified K0 arbiter of `functions`.  A change
+    that only saves arithmetic keeps every bit."""
+
+    PINNED = {
+        "finite-log": "3d232880227dd9ab99bc5d17f9c7ff925a6b7b76714e9c89cfac9cdc8910ad4f",
+        "finite-rsqrt": "e32f979101f74d6f8fdbb78e9952be3676cb7f5283f93a425dae9f24bd4e0526",
+        "es-gauss": "59ad095dc071a75c8b50bf2c7612edbca83a0786249c2b6430d40e78c7cd7767",
+        "es-shifted": "0df0c282deac11fa47be2a91261f0f0f35c7b381c0bf473ac26ea810c2edef1a",
+        "k0-0.5": "9b6381572264bc5c850ad3405c8ddf387e5a7a9eedfac2277e6e97835b8879cc",
+        "k0-40": "a7c0fe779d67dd4950a7060a0d078444a2ab62fdc2c2991378265d01db6feaeb",
+    }
+
+    @staticmethod
+    def _raw(case):
+        ctx = PrecisionContext.from_digits(30)
+        with mp.workprec(64):
+            eps = mpf(10) ** -25
+        if case.startswith("k0-"):
+            return functions.bessel_k0_integral(mpf(case[3:]), ctx).value._mpf_
+        if case == "finite-log":
+            r = quadrature.integrate_finite(lambda x: -mpmath.ln(x), 0, 1, eps, ctx)
+        elif case == "finite-rsqrt":
+            r = quadrature.integrate_finite(lambda x: 1 / mpmath.sqrt(x), 0, 1, eps, ctx)
+        elif case == "es-gauss":
+            r = quadrature.integrate_semi_infinite(lambda t: mpmath.exp(-t * t), 0, eps, ctx)
+        else:
+            r = quadrature.integrate_semi_infinite(lambda t: mpmath.exp(1 - t), 1, eps, ctx)
+        assert r.converged
+        return r.value.value._mpf_, r.error_estimate.value._mpf_
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_raw_tuples_are_pinned(self, case):
+        digest = hashlib.sha256(repr(self._raw(case)).encode()).hexdigest()
+        assert digest == self.PINNED[case]
+
+
+def _reference_node(kind, prec, level, index):
+    """Node `index` of the (kind, prec, level) table, or None past its end:
+    the builder's formulas in mpf operators under mp.workprec, each
+    operation rounded to nearest at prec."""
+    with mp.workprec(prec):
+        half_pi, h = mpmath.pi / 2, mpf(2) ** (-level)
+        t = (2 * index + 1 if level > 0 else index + 1) * h
+        et = mpmath.exp(t)
+        inv_et = 1 / et
+        cosh_t = (et + inv_et) / 2
+        a = half_pi * (et - inv_et) / 2
+        if kind == "ts":
+            e2a = mpmath.exp(2 * a)
+            d = 2 / (e2a + 1)
+            w = half_pi * cosh_t * 4 * e2a / (e2a + 1) ** 2
+            return (d, w) if d >= mpmath.ldexp(1, -int(6.5 * prec)) else None
+        if a > mpf(8 * prec) * mpmath.ln(2):
+            return None
+        ea = mpmath.exp(a)
+        wf = half_pi * cosh_t
+        log_w = float(a) + math.log(float(wf))
+        return (quadrature._LogAbscissa(ea, a), ea * wf, log_w,
+                quadrature._LogAbscissa(1 / ea, -a), wf / ea, log_w - 2 * float(a))
+
+
+class TestNodeBuilder:
+    """`_nodes` builds each node on raw mpf values; every node equals the
+    operator form's bit for bit, the ln an abscissa carries included, and
+    the table ends where the operator form's does."""
+
+    @staticmethod
+    def _raw(node):
+        return [v if isinstance(v, float) else (type(v), v._mpf_, getattr(v, "ln", v)._mpf_)
+                for v in node]
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(["es", "ts"]), prec=st.integers(53, 1400),
+           level=st.integers(0, 8), index=st.integers(0, 63))
+    def test_nodes_match_the_operator_form(self, kind, prec, level, index):
+        nodes = list(islice(quadrature._nodes(kind, prec, level), index + 1))
+        for i, node in enumerate(nodes):
+            assert self._raw(node) == self._raw(_reference_node(kind, prec, level, i))
+        if len(nodes) <= index:
+            assert _reference_node(kind, prec, level, len(nodes)) is None
