@@ -11,11 +11,13 @@ sequence decreases monotonically from C_1 = 2 toward the limit 2 e^{-2 gamma}.
 
 The integrand is e^prefactor t K0(t)^n, with prefactor = ln(2^n/n!) formed
 once per call; an mpf's exponent has no bound, so K0^n cannot underflow
-however far into the tail t lies.  Each K0 value is memoized by its exact
-node, that node's ln t and the precision, and shared across n.  A decay
-certificate derived from the strict bound K0(t) < sqrt(pi/(2t)) e^{-t}
-(valid for t >= 2) lets the quadrature engine skip far-tail nodes without
-evaluating them.
+however far into the tail t lies.  Its two products and the power are libmp
+calls on raw values at the working precision, rounding to nearest, as
+`quadrature`'s sweep makes them: bit for bit the operator form's result.
+Each K0 value is memoized by its exact node, that node's ln t and the
+precision, and shared across n.  A decay certificate derived from the
+strict bound K0(t) < sqrt(pi/(2t)) e^{-t} (valid for t >= 2) lets the
+quadrature engine skip far-tail nodes without evaluating them.
 
 The integrand's mass sits where K0(t) is about n/2, near t = 2 e^{-gamma-n/2}
 (about 1e-33 at n = 152); the quadrature sweep itself moves its map onto
@@ -32,6 +34,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_mul, mpf_pow_int, round_nearest
 
 from . import functions, quadrature
 from .precision import (
@@ -87,12 +90,14 @@ def c_n(n: int, ctx: PrecisionContext, eps=None) -> CnRecord:
     with mp.workprec(prec):
         eps_v = _default_eps(ctx) if eps is None else mpf(eps)
         prefactor = n * mpmath.ln(2) - mpmath.loggamma(n + 1)
-        scale = mpmath.exp(prefactor)
+        scale = mpmath.exp(prefactor)._mpf_
         float_prefactor, half_log = float(prefactor), math.log(math.pi / 2) / 2
 
         # t is an exp-sinh abscissa over (0, inf): t.ln is ln t
         def integrand(t: mpf) -> mpf:
-            return scale * t * _k0_cached(t._mpf_, prec, t.ln._mpf_) ** n
+            scaled_t = mpf_mul(scale, t._mpf_, prec, round_nearest)
+            k0_n = mpf_pow_int(_k0_cached(t._mpf_, prec, t.ln._mpf_)._mpf_, n, prec, round_nearest)
+            return mp.make_mpf(mpf_mul(scaled_t, k0_n, prec, round_nearest))
 
         def log_bound(t: mpf) -> float:
             # K0(t) < sqrt(pi/(2t)) e^{-t} for t >= 2 (alternating-tail

@@ -484,7 +484,7 @@ def _cmd_quad(args):
     )
 
 
-def _cmd_walk(args) -> bytes:
+def _cmd_walk(args) -> bytes | bytearray:
     from . import digit_walks
 
     fmt = args.image_format or ("ppm" if (args.out or "").lower().endswith(".ppm") else "svg")
@@ -509,7 +509,7 @@ def run(argv) -> int:
     except (NumericsError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    data = result if isinstance(result, bytes) else _render(args.format, *result)
+    data = result if isinstance(result, (bytes, bytearray)) else _render(args.format, *result)
     try:
         with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
             fh.write(data)

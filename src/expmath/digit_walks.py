@@ -223,7 +223,7 @@ def _pixel_axes(points, width, height):
     return cols, rows
 
 
-def _render_ppm(path: WalkPath, width: int, height: int, color_mode: str) -> bytes:
+def _render_ppm(path: WalkPath, width: int, height: int, color_mode: str) -> bytearray:
     """Each step as a horizontal or vertical pixel run, in the colour of the
     last step through each pixel.
 
@@ -232,10 +232,13 @@ def _render_ppm(path: WalkPath, width: int, height: int, color_mode: str) -> byt
     painted from the last step back, each claiming the pixels no later step
     took, and a step's hue is computed only when it claims one.  No step's
     colour is white (each hue has a zero channel), so a pixel is unclaimed
-    while it is white.
+    while it is white.  The header is written into the front of the one
+    buffer, which is returned as it is: the pixels are never copied.
     """
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    buf = bytearray(b"\xff") * (3 * width * height)
+    top = len(header)
+    buf = bytearray(b"\xff") * (top + 3 * width * height)
+    buf[:top] = header
     cols, rows = _pixel_axes(path.points, width, height)
     pts = path.points
     nseg = max(1, len(pts) - 1)
@@ -249,12 +252,12 @@ def _render_ppm(path: WalkPath, width: int, height: int, color_mode: str) -> byt
         else:
             raise DomainError("a walk step moves along one axis")
         rgb = None
-        for j in range(3 * start, 3 * end + 3, 3 * step):
+        for j in range(top + 3 * start, top + 3 * end + 3, 3 * step):
             if buf[j] & buf[j + 1] & buf[j + 2] == 255:
                 if rgb is None:
                     rgb = bytes(_hue_rgb(i / nseg)) if color_mode == "progress" else b"\0\0\0"
                 buf[j : j + 3] = rgb
-    return header + buf  # bytes, with one copy of the pixels
+    return buf
 
 
 def _render_svg(path: WalkPath, width: int, height: int, color_mode: str) -> bytes:
@@ -290,8 +293,10 @@ def _render_svg(path: WalkPath, width: int, height: int, color_mode: str) -> byt
     return body.encode("utf-8")
 
 
-def render(path: WalkPath, format: str = "ppm", size=512, color_mode: str = "progress") -> bytes:
-    """Image bytes for the walk; deterministic down to the last byte."""
+def render(path: WalkPath, format: str = "ppm", size=512,
+           color_mode: str = "progress") -> bytes | bytearray:
+    """Image bytes for the walk, a PPM's in a bytearray; deterministic down
+    to the last byte."""
     if not path.points:
         raise DomainError("cannot render an empty path")
     if format not in ("ppm", "svg"):

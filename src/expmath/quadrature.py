@@ -59,7 +59,12 @@ mass its nodes never reach, such as a spike between them, is not bounded
 by it.
 
 All summation is sequential in a fixed node order, so results are exactly
-reproducible run to run.
+reproducible run to run.  The node builder and the sweep's per-node work
+(each w f product, the level sums and the tail tests) call mpmath.libmp on
+raw values (mpfs' `_mpf_` tuples) at the working precision, rounding to
+nearest, which is what mpf's operators call: every result is bit for bit
+that of the operator form, without an mpf object per intermediate value.
+Integrands still receive and return mpfs.
 """
 
 from __future__ import annotations
@@ -71,6 +76,26 @@ from typing import Callable, Optional
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    fone,
+    fzero,
+    from_int,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_ge,
+    mpf_gt,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_shift,
+    mpf_sub,
+    round_nearest as _RND,
+    to_float,
+)
 
 from .precision import (
     BigReal,
@@ -104,6 +129,8 @@ _MAX_MOVES = 64
 RATE_ORDER = 1.5
 
 _LN2 = math.log(2)
+
+_make_mpf = mp.make_mpf
 
 
 @lru_cache(maxsize=128)
@@ -182,36 +209,45 @@ def _nodes(kind: str, prec: int, level: int):
       float(a) + log(float(w e^-a)) and ln w' = ln w - 2 float(a) are floats,
       since they only decide a certificate's skip test and a move's choice.
     A table ends at None, once its nodes are past any resolvable tail.
+    Nodes are built on raw values with libmp at `prec`, rounding to nearest,
+    bit for bit what mpf's operators give under mp.workprec(prec), and no
+    working precision is set per node; halvings are exact exponent shifts.
     """
     table = _table(kind, prec, level)
     index = 0
-    shared = None  # pi/2, h and the table's cut-off, formed for its first build
+    shared = None  # pi/2 and the table's cut-off, formed for its first build
     while True:
         if index == len(table):
-            with mp.workprec(prec):
-                if shared is None:
+            if shared is None:
+                with mp.workprec(prec):
                     cut = (mpmath.ldexp(1, -int(6.5 * prec)) if kind == "ts"
                            else mpf(8 * prec) * mpmath.ln(2))
-                    shared = mpmath.pi / 2, mpf(2) ** (-level), cut
-                half_pi, h, cut = shared
-                t = (2 * index + 1 if level > 0 else index + 1) * h
-                et = mpmath.exp(t)
-                inv_et = 1 / et
-                cosh_t = (et + inv_et) / 2
-                a = half_pi * (et - inv_et) / 2
-                if kind == "ts":
-                    e2a = mpmath.exp(2 * a)
-                    d = 2 / (e2a + 1)
-                    w = half_pi * cosh_t * 4 * e2a / (e2a + 1) ** 2
-                    node = (d, w) if d >= cut else None
-                elif a > cut:
-                    node = None
-                else:
-                    ea = mpmath.exp(a)
-                    wf = half_pi * cosh_t
-                    log_w = float(a) + math.log(float(wf))
-                    node = (_LogAbscissa(ea, a), ea * wf, log_w,
-                            _LogAbscissa(1 / ea, -a), wf / ea, log_w - 2 * float(a))
+                    shared = (mpmath.pi / 2)._mpf_, cut._mpf_
+            half_pi, cut = shared
+            t = mpf_shift(from_int(2 * index + 1 if level > 0 else index + 1), -level)
+            et = mpf_exp(t, prec, _RND)
+            inv_et = mpf_rdiv_int(1, et, prec, _RND)
+            cosh_t = mpf_shift(mpf_add(et, inv_et, prec, _RND), -1)
+            a = mpf_shift(mpf_mul(half_pi, mpf_sub(et, inv_et, prec, _RND), prec, _RND), -1)
+            if kind == "ts":
+                e2a = mpf_exp(mpf_shift(a, 1), prec, _RND)
+                e2a_1 = mpf_add(e2a, fone, prec, _RND)
+                d = mpf_rdiv_int(2, e2a_1, prec, _RND)
+                w = mpf_mul(mpf_shift(mpf_mul(half_pi, cosh_t, prec, _RND), 2), e2a, prec, _RND)
+                w = mpf_div(w, mpf_pow_int(e2a_1, 2, prec, _RND), prec, _RND)
+                node = (_make_mpf(d), _make_mpf(w)) if mpf_ge(d, cut) else None
+            elif mpf_gt(a, cut):
+                node = None
+            else:
+                ea = mpf_exp(a, prec, _RND)
+                wf = mpf_mul(half_pi, cosh_t, prec, _RND)
+                float_a = to_float(a, rnd=_RND)
+                log_w = float_a + math.log(to_float(wf, rnd=_RND))
+                node = (_LogAbscissa(_make_mpf(ea), _make_mpf(a)),
+                        _make_mpf(mpf_mul(ea, wf, prec, _RND)), log_w,
+                        _LogAbscissa(_make_mpf(mpf_rdiv_int(1, ea, prec, _RND)),
+                                     _make_mpf(mpf_neg(a, prec, _RND))),
+                        _make_mpf(mpf_div(wf, ea, prec, _RND)), log_w - 2 * float_a)
             table.append(node)
         node = table[index]
         if node is None:
@@ -255,7 +291,7 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             kind, centre = "es", _LogAbscissa(mpf(1), mpf(0))
         else:
             kind, centre, hw = "ts", (a + b) / 2, (b - a) / 2
-        cert_beyond = mpf(tail_bound.beyond) if tail_bound is not None else None
+        cert_beyond = mpf(tail_bound.beyond)._mpf_ if tail_bound is not None else None
         half_pi = mpmath.pi / 2
         # the exp-sinh centre's log weight, read by a certificate's skip test
         # and by a move of the map
@@ -264,44 +300,50 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
         ln2 = mpmath.ln(2)
 
         def evaluate(y, weight, log_weight):
-            """One weighted integrand evaluation under the tail policy;
-            `log_weight` is ln(weight), read only under a certificate."""
-            certified = cert_beyond is not None and y >= cert_beyond
+            """One weighted integrand evaluation under the tail policy: w f
+            as a raw value, for a raw `weight`; `log_weight` is ln(weight),
+            read only under a certificate."""
+            certified = cert_beyond is not None and mpf_ge(y._mpf_, cert_beyond)
             if certified:
                 bound = float(tail_bound.log_bound(y))
                 if bound < log_term_floor - log_weight:
-                    return mpf(0)  # certified negligible; skip evaluation
+                    return fzero  # certified negligible; skip evaluation
             try:
                 fv = _coerce(f(y))
             except ArithmeticError as exc:
                 where = " inside certified range with non-negligible bound" if certified else ""
                 raise IntegrandError(f"integrand failed at y={mpmath.nstr(y, 8)}{where}") from exc
-            if not mpmath.isfinite(fv):
+            raw = fv._mpf_
+            if not raw[1] and raw[2]:  # an infinity or nan
                 if certified:
-                    return mpf(0)  # under/overflow under certificate: exact zero by contract
+                    return fzero  # under/overflow under certificate: exact zero by contract
                 raise IntegrandError(f"integrand not finite at y={mpmath.nstr(y, 8)}")
-            if certified and fv != 0 and _exceeds(fv, bound + 2):
+            if certified and raw != fzero and _exceeds(fv, bound + 2):
                 raise TailBoundError(
                     f"integrand exceeds its decay certificate at y={mpmath.nstr(y, 8)}"
                 )
-            return weight * fv
+            return mpf_mul(weight, raw, prec, _RND)
 
         def place(x, w, log_w, j):
             """An exp-sinh node (x, w, ln w) with the map moved by x -> 2^j x,
-            exact in x and w, then shifted exactly by a."""
+            exact in x and w, then shifted exactly by a; w comes back raw."""
+            w = w._mpf_
             if j:
                 x = _LogAbscissa(mpmath.ldexp(x, j), x.ln + j * ln2)
-                w, log_w = mpmath.ldexp(w, j), log_w + j * _LN2
+                w, log_w = mpf_shift(w, j), log_w + j * _LN2
             return (mpmath.fadd(a, x, exact=True) if a else x), w, log_w
 
         def scout(j, pairs, known=()):
             """The level-0 exp-sinh centre and its first `pairs` node pairs
             (all when None), at t = 0, 1, -1, 2, -2, ... with the map moved by
-            2^j: the unmoved nodes and their w f, taken from `known` first."""
+            2^j: the unmoved nodes and their raw w f, taken from `known` first."""
             nodes = [(centre, half_pi, log_centre_w)]
             for node in islice(_nodes(kind, prec, 0), pairs):
                 nodes += [node[:3], node[3:]]
             return nodes, [*known, *(evaluate(*place(*node, j)) for node in nodes[len(known):])]
+
+        def ln_abs(v):
+            return mpmath.ln(_make_mpf(mpf_abs(v, prec, _RND)))
 
         term_floor = eps / 16
         log_term_floor = float(mpmath.ln(term_floor))
@@ -311,11 +353,11 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             # ln x, and level0 keeps the final scout's w f for level 0's sum
             _, level0 = scout(0, 2)
             floor = log_term_floor + DEFAULT_MAX_LEVEL * _LN2
-            if all(mpmath.ln(abs(v)) < floor for v in level0):
+            if all(ln_abs(v) < floor for v in level0):
                 known = level0
                 for _ in range(_MAX_MOVES):
                     nodes, level0 = scout(j, None, known)
-                    mass = [mpmath.ln(abs(v)) - log_w + x.ln
+                    mass = [ln_abs(v) - log_w + x.ln
                             for (x, _, log_w), v in zip(nodes, level0)]
                     best = mass.index(max(mass))
                     if best < 3:
@@ -323,8 +365,11 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
                     j, known = j + round(nodes[best][0].ln / ln2), ()
                 else:
                     raise ConvergenceError(f"no mass found in {_MAX_MOVES} moves of the exp-sinh map")
+            # the table's own nodes and weights, unless the map has moved
+            unmoved = not j and not a
         else:
-            level0 = [evaluate(centre, half_pi * hw, None)]
+            level0 = [evaluate(centre, mpf_mul(half_pi._mpf_, hw._mpf_, prec, _RND), None)]
+            a_raw, b_raw, hw_raw = a._mpf_, b._mpf_, hw._mpf_
 
         total = None
         prev = None
@@ -334,24 +379,33 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
         for level in range(0, DEFAULT_MAX_LEVEL + 1):
             h = mpf(2) ** (-level)
             # |contrib| * h < term_floor, exactly, since h is a power of two
-            tail_floor = term_floor / h
-            part = mpf(0) if level else level0[0]
+            tail_floor = (term_floor / h)._mpf_
+            part = fzero if level else level0[0]
             quiet, loud = 0, False
             for index, node in enumerate(_nodes(kind, prec, level), 1):
                 if not level and 2 * index < len(level0):
-                    contrib = level0[2 * index - 1] + level0[2 * index]
+                    contrib = mpf_add(level0[2 * index - 1], level0[2 * index], prec, _RND)
                 elif b is None:
-                    contrib = evaluate(*place(*node[:3], j)) + evaluate(*place(*node[3:], j))
+                    if unmoved:
+                        x, w, log_w, x_small, w_small, log_w_small = node
+                        contrib = mpf_add(evaluate(x, w._mpf_, log_w),
+                                          evaluate(x_small, w_small._mpf_, log_w_small), prec, _RND)
+                    else:
+                        contrib = mpf_add(evaluate(*place(*node[:3], j)),
+                                          evaluate(*place(*node[3:], j)), prec, _RND)
                 else:
                     d, w = node
-                    offset, weight = d * hw, w * hw
-                    contrib = (evaluate(mpmath.fsub(b, offset, exact=True), weight, None)
-                               + evaluate(mpmath.fadd(a, offset, exact=True), weight, None))
-                part += contrib
+                    offset = mpf_mul(d._mpf_, hw_raw, prec, _RND)
+                    weight = mpf_mul(w._mpf_, hw_raw, prec, _RND)
+                    # b - d and a + d exactly, unrounded
+                    contrib = mpf_add(evaluate(_make_mpf(mpf_sub(b_raw, offset)), weight, None),
+                                      evaluate(_make_mpf(mpf_add(a_raw, offset)), weight, None),
+                                      prec, _RND)
+                part = mpf_add(part, contrib, prec, _RND)
                 # Tail cut: several consecutive negligible contributions, but
                 # never before t = index*h reaches past the weight hump at ~1.
                 if index >= 1 << level:
-                    if abs(contrib) < tail_floor:
+                    if mpf_lt(mpf_abs(contrib, prec, _RND), tail_floor):
                         quiet += 1
                         if quiet >= 3:
                             break
@@ -360,7 +414,8 @@ def _integrate(f, a: mpf, b: Optional[mpf], eps, ctx: PrecisionContext, tail_bou
             else:
                 # the table ran out before the quiet-tail cut fired; a last
                 # pair at or above the cut's floor leaves mass past it out
-                loud = abs(contrib) >= tail_floor
+                loud = mpf_ge(mpf_abs(contrib, prec, _RND), tail_floor)
+            part = _make_mpf(part)
             total = h * part if level == 0 else total / 2 + h * part
             scale_est = max(mpf(1), abs(total))
             if prev is not None:
